@@ -102,8 +102,6 @@ from .sim import (
     make_executor,
     mean_error_curve,
     placement_improvement_curves,
-    resilient_mean_error_curve,
-    resilient_placement_improvement_curves,
     run_placement_trial,
     run_worker,
     write_curve_set,
@@ -206,46 +204,33 @@ def _executor_from_args(args):
     return executor
 
 
-def _resilient_requested(args) -> bool:
-    return (
-        args.workers > 1
-        or args.journal is not None
-        or args.executor is not None
-        or args.chunk is not None
-    )
-
-
 def _mean_curve(config, noise, args):
-    """A figure 4/6 series, resilient when --workers/--journal ask for it.
+    """A figure 4/6 series on the workers, executor and journal the flags give.
 
     One journal file serves a whole multi-noise figure: the fingerprint
     covers (kind, config) while each cell key carries its noise level.
     """
-    if _resilient_requested(args):
-        return resilient_mean_error_curve(
-            config,
-            noise,
-            workers=args.workers,
-            journal_path=args.journal,
-            progress=_progress(args),
-            executor=_executor_from_args(args),
-        )
-    return mean_error_curve(config, noise, progress=_progress(args))
+    return mean_error_curve(
+        config,
+        noise,
+        workers=args.workers,
+        journal_path=args.journal,
+        progress=_progress(args),
+        executor=_executor_from_args(args),
+    )
 
 
 def _improvement(config, noise, algorithms, args):
-    """Figure 5/7–9 curve sets, resilient when --workers/--journal ask."""
-    if _resilient_requested(args):
-        return resilient_placement_improvement_curves(
-            config,
-            noise,
-            algorithms,
-            workers=args.workers,
-            journal_path=args.journal,
-            progress=_progress(args),
-            executor=_executor_from_args(args),
-        )
-    return placement_improvement_curves(config, noise, algorithms, progress=_progress(args))
+    """Figure 5/7–9 curve sets, run as :func:`_mean_curve` runs its series."""
+    return placement_improvement_curves(
+        config,
+        noise,
+        algorithms,
+        workers=args.workers,
+        journal_path=args.journal,
+        progress=_progress(args),
+        executor=_executor_from_args(args),
+    )
 
 
 def _cmd_reproduce(args) -> int:
@@ -805,15 +790,19 @@ def _cmd_greedyk(args) -> int:
         "greedy-k", config, {"k": args.k, "subsample": args.subsample}
     )
     journal = SweepJournal.open(args.journal, fingerprint) if args.journal else None
-    results = run_cells(
-        jobs,
-        _greedyk_cell,
-        workers=args.workers,
-        policy=RetryPolicy(),
-        journal=journal,
-        progress=_progress(args),
-        executor=_executor_from_args(args),
-    )
+    try:
+        results = run_cells(
+            jobs,
+            _greedyk_cell,
+            workers=args.workers,
+            policy=RetryPolicy(),
+            journal=journal,
+            progress=_progress(args),
+            executor=_executor_from_args(args),
+        )
+    finally:
+        if journal is not None:
+            journal.close()
 
     rows = []
     for key, _ in jobs:

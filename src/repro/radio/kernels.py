@@ -164,6 +164,9 @@ def batched_connectivity(
     # sqrt(dx² + dy²) — an order-fixed reduction, identical per element.
     diff = pts[None, :, None, :] - pos[:, None, :, :]  # (T, P, N, 2)
     dist = np.sqrt(np.einsum("tpnk,tpnk->tpn", diff, diff))
+    # The (T, P, N, 2) temporary is twice the size of ``dist``; release it
+    # before the range pass allocates its own (T, P, N) arrays.
+    del diff
     if params.noise == 0.0:
         # Every effective range is exactly R (see batched_effective_ranges);
         # compare against the scalar instead of materializing (T, P, N).

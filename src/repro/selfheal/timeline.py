@@ -226,7 +226,6 @@ def selfheal_timeline(
                 "trials": timeline.trials,
                 "percentile": timeline.percentile,
                 "controller": controller.spec() if arm == "on" else None,
-                "workers": workers,
                 "failed_cells": failed,
             },
         )

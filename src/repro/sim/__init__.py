@@ -35,13 +35,11 @@ from .io import (
     write_curve_set,
     write_time_curve_set,
 )
-from .parallel import (
-    parallel_mean_error_curve,
-    parallel_placement_improvement_curves,
-)
 from .resilient import (
     RetryPolicy,
     SweepJournal,
+    mean_error_curve,
+    placement_improvement_curves,
     resilient_mean_error_curve,
     resilient_placement_improvement_curves,
     run_cells,
@@ -49,12 +47,7 @@ from .resilient import (
 )
 from .results import Curve, CurveSet, TimeCurve
 from .rng import derive_rng, derive_seed_sequence
-from .sweep import (
-    build_world,
-    default_model_factory,
-    mean_error_curve,
-    placement_improvement_curves,
-)
+from .sweep import build_world, default_model_factory
 from .timeline import (
     TimelineConfig,
     fault_error_timeline,
@@ -89,8 +82,6 @@ __all__ = [
     "batch_surface_stats",
     "mean_error_curve",
     "placement_improvement_curves",
-    "parallel_mean_error_curve",
-    "parallel_placement_improvement_curves",
     "spawn_context",
     "validate_workers",
     "CellExecutor",

@@ -7,9 +7,8 @@ via the ``emit`` callback it passes in.  That keeps journal + retry
 semantics identical across backends — an executor only decides *where* a
 cell runs and *how* its result travels back.
 
-Pool setup (``spawn_context``/``validate_workers``) lives here; both
-``sim.parallel`` and ``sim.resilient`` used to re-derive it and now import
-from this module.
+Pool setup (``spawn_context``/``validate_workers``) lives here, in one
+place for every backend and sweep driver.
 """
 
 from __future__ import annotations
@@ -396,23 +395,23 @@ def make_executor(
     workers: int = 1,
     chunk: int | None = None,
     bind=None,
-    mp_context=None,
 ) -> CellExecutor:
     """Build a backend by name — the single place pool setup is derived.
 
-    ``None`` picks the legacy default: serial for ``workers <= 1``, a local
-    spawn pool otherwise.  ``bind`` is a ``(host, port)`` pair for the
-    socket backend.
+    ``None`` picks the default: serial for one worker, a local spawn pool
+    for more (a count below one is rejected).  ``bind`` is a ``(host,
+    port)`` pair for the socket backend.
     """
     from .local import PoolExecutor, SerialExecutor
 
+    if name in (None, "pool"):
+        validate_workers(workers)
     if name is None:
-        name = "serial" if workers <= 1 else "pool"
+        name = "serial" if workers == 1 else "pool"
     if name == "serial":
         return SerialExecutor()
     if name == "pool":
-        validate_workers(workers)
-        return PoolExecutor(workers=workers, chunk=chunk, mp_context=mp_context)
+        return PoolExecutor(workers=workers, chunk=chunk)
     if name == "socket":
         from .sockets import SocketExecutor
 

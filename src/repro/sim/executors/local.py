@@ -134,10 +134,9 @@ class PoolExecutor(CellExecutor):
     Args:
         workers: pool size.
         chunk: cells per submitted chunk; ``None`` = :func:`auto_chunk`.
-        mp_context: multiprocessing context override (default: spawn).
     """
 
-    def __init__(self, workers: int, *, chunk: int | None = None, mp_context=None):
+    def __init__(self, workers: int, *, chunk: int | None = None):
         if chunk is not None and chunk < 1:
             raise ValueError(f"chunk must be >= 1, got {chunk}")
         self.workers = workers
@@ -146,7 +145,6 @@ class PoolExecutor(CellExecutor):
         #: every chunk so workers attach the sweep's immutable arrays
         #: zero-copy instead of rebuilding them per process.
         self.shared_handle = None
-        self._ctx = mp_context if mp_context is not None else spawn_context()
         # The pool persists across execute() sessions — spawn start-up
         # (workers re-import the package) is paid once per executor, not
         # once per sweep, so a multi-panel figure reuses warm workers.
@@ -155,7 +153,7 @@ class PoolExecutor(CellExecutor):
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
             self._pool = ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=self._ctx
+                max_workers=self.workers, mp_context=spawn_context()
             )
         return self._pool
 

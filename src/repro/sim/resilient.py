@@ -1,8 +1,12 @@
-"""Resilient sweep execution: checkpoints, retries, degraded aggregation.
+"""The Figures 4–9 sweep drivers and their resilient cell execution.
 
-Paper-fidelity sweeps are hours of work; a single stuck or crashing worker
-must not discard them.  This module wraps the per-cell fan-out of
-:mod:`repro.sim.parallel` in three layers of protection:
+:func:`mean_error_curve` (Figures 4 and 6) and
+:func:`placement_improvement_curves` (Figures 5, 7–9) split the §4 grid
+into independent ``(count, field)`` cells and run them through
+:func:`run_cells`, in-process or on any executor backend, with the same
+curves either way.  Paper-fidelity sweeps are hours of work; a single stuck
+or crashing worker must not discard them, so every sweep runs under three
+layers of protection:
 
 * **Checkpoint journal** (:class:`SweepJournal`) — an append-only JSONL file
   next to the CSV outputs.  Every completed cell is one flushed line, so a
@@ -68,6 +72,8 @@ __all__ = [
     "SweepJournal",
     "run_cells",
     "sweep_fingerprint",
+    "mean_error_curve",
+    "placement_improvement_curves",
     "resilient_mean_error_curve",
     "resilient_placement_improvement_curves",
 ]
@@ -322,7 +328,6 @@ def run_cells(
     policy: RetryPolicy | None = None,
     journal: SweepJournal | None = None,
     progress: ProgressFn | None = None,
-    mp_context=None,
     executor: CellExecutor | None = None,
 ) -> dict:
     """Execute ``fn(args)`` for every ``(key, args)`` job, resiliently.
@@ -336,12 +341,11 @@ def run_cells(
             str/int/float.
         fn: the cell function; must be picklable (module-level) for pool
             mode and importable by reference for socket workers.
-        workers: process count when no ``executor`` is given; ``<= 1`` runs
+        workers: process count when no ``executor`` is given; ``1`` runs
             in-process (no timeouts).
         policy: retry/timeout policy (default :class:`RetryPolicy`).
         journal: optional checkpoint journal.
         progress: optional callback for per-cell status lines.
-        mp_context: multiprocessing context override (default: spawn).
         executor: a :class:`~repro.sim.executors.CellExecutor` to run cells
             on; overrides ``workers``.  The caller keeps ownership (it is
             not closed here), so one executor — and its connected socket
@@ -394,10 +398,10 @@ def run_cells(
 
     owned = executor is None
     if owned:
-        executor = make_executor(workers=workers, mp_context=mp_context)
+        executor = make_executor(workers=workers)
     try:
         with get_tracer().span(
-            "sweep.run_cells", cells=len(pending), workers=max(workers, 1)
+            "sweep.run_cells", cells=len(pending), executor=type(executor).__name__
         ):
             executor.execute(
                 pending, fn,
@@ -431,17 +435,23 @@ def _mean_error_cell(args) -> float:
     return world.error_surface().mean_error()
 
 
-def _improvement_cell(args) -> dict:
-    config, noise, count, index, faults, fault_time, algorithms = args
+def _placement_trial(world, args) -> dict:
+    """``{algorithm: (mean gain, median gain)}`` of one improvement cell's world."""
+    config, noise, count, index, _, _, algorithms = args
 
     def rng_for(name: str):
         return derive_rng(config.seed, "alg", name, noise, count, index)
 
-    world = build_world(config, noise, count, index, faults=faults, fault_time=fault_time)
     outcomes = run_placement_trial(world, list(algorithms), rng_for)
     return {
         o.algorithm: (o.improvement_mean, o.improvement_median) for o in outcomes
     }
+
+
+def _improvement_cell(args) -> dict:
+    config, noise, count, index, faults, fault_time, _ = args
+    world = build_world(config, noise, count, index, faults=faults, fault_time=fault_time)
+    return _placement_trial(world, args)
 
 
 def _mean_error_cells_planner(args_list):
@@ -450,9 +460,13 @@ def _mean_error_cells_planner(args_list):
     Worlds are built the normal way (field/realization caches make that
     cheap), pre-warmed through the batched kernels, reduced with
     :func:`batch_surface_stats`, and *dropped* — the returned thunks close
-    over plain floats, so planning a chunk retains no arrays.  A cell whose
-    world fails to build gets no thunk (``None``); the executor's scalar
-    path recomputes it and surfaces the error with per-cell attribution.
+    over plain floats, so planning a chunk retains no arrays.  A block
+    closes at :data:`DEFAULT_BLOCK_ELEMENTS` lattice-beacon links and where
+    the beacon count changes: worlds of different counts never share a
+    kernel pass, so holding one count's warmed worlds through the next
+    count's pass would only raise the peak.  A cell whose world fails to
+    build gets no thunk (``None``); the executor's scalar path recomputes
+    it and surfaces the error with per-cell attribution.
     """
     thunks: list = [None] * len(args_list)
     worlds: list = []
@@ -472,6 +486,7 @@ def _mean_error_cells_planner(args_list):
         slots.clear()
         elements = 0
 
+    block_count = None
     for i, args in enumerate(args_list):
         config, noise, count, index, faults, fault_time = args
         try:
@@ -480,6 +495,9 @@ def _mean_error_cells_planner(args_list):
             )
         except Exception:  # noqa: BLE001 — scalar path owns the failure
             continue
+        if count != block_count:
+            flush()
+            block_count = count
         worlds.append(world)
         slots.append(i)
         elements += world.points().shape[0] * max(len(world.field), 1)
@@ -489,50 +507,60 @@ def _mean_error_cells_planner(args_list):
     return thunks
 
 
+class _WarmOnFirstTake:
+    """Cold worlds that one kernel pass warms when the first is taken.
+
+    :meth:`take` hands a world out and drops this block's reference to it,
+    so each world is freed once its trial has run.
+    """
+
+    def __init__(self) -> None:
+        self.worlds: list = []
+        self.elements = 0
+        self.warmed = False
+
+    def add(self, world) -> int:
+        self.worlds.append(world)
+        self.elements += world.points().shape[0] * max(len(world.field), 1)
+        return len(self.worlds) - 1
+
+    def take(self, slot: int):
+        if not self.warmed:
+            self.warmed = True
+            warm_worlds([w for w in self.worlds if w is not None])
+        world, self.worlds[slot] = self.worlds[slot], None
+        return world
+
+
 def _improvement_cells_planner(args_list):
-    """Batch plan for :func:`_improvement_cell`: warm worlds, defer trials.
+    """Batch plan for :func:`_improvement_cell`: warm lazily, defer trials.
 
     The placement trial itself is order-sensitive, survey-driven scalar code
     — only the *initial* world evaluation (connectivity, centroid state, the
-    base error surface) batches.  Each thunk runs the unchanged
-    :func:`run_placement_trial` against its pre-warmed world with the exact
-    RNG substreams :func:`_improvement_cell` would derive, and releases the
-    world as soon as it runs so chunk memory peaks at one warmed chunk.
+    base error surface) batches.  Worlds are built up front (a field and a
+    realization seed, both cached) and split into sub-blocks that close
+    where :func:`_mean_error_cells_planner`'s blocks do: at
+    :data:`DEFAULT_BLOCK_ELEMENTS` lattice-beacon links and where the beacon
+    count changes.  A sub-block is warmed when its first thunk runs, so
+    cells run in order hold at most one sub-block of warmed, not-yet-run
+    worlds.  Each thunk runs the unchanged :func:`run_placement_trial` with
+    the RNG substreams :func:`_improvement_cell` would derive.
     """
     thunks: list = [None] * len(args_list)
-    worlds: list = []
+    block = _WarmOnFirstTake()
+    block_count = None
     for i, args in enumerate(args_list):
-        config, noise, count, index, faults, fault_time, algorithms = args
+        config, noise, count, index, faults, fault_time, _ = args
         try:
             world = build_world(
                 config, noise, count, index, faults=faults, fault_time=fault_time
             )
         except Exception:  # noqa: BLE001 — scalar path owns the failure
             continue
-        worlds.append(world)
-        holder = [world]
-
-        def thunk(
-            holder=holder,
-            config=config,
-            noise=noise,
-            count=count,
-            index=index,
-            algorithms=algorithms,
-        ):
-            warmed, holder[0] = holder[0], None
-
-            def rng_for(name: str):
-                return derive_rng(config.seed, "alg", name, noise, count, index)
-
-            outcomes = run_placement_trial(warmed, list(algorithms), rng_for)
-            return {
-                o.algorithm: (o.improvement_mean, o.improvement_median)
-                for o in outcomes
-            }
-
-        thunks[i] = thunk
-    warm_worlds(worlds)
+        if block.elements >= DEFAULT_BLOCK_ELEMENTS or count != block_count:
+            block, block_count = _WarmOnFirstTake(), count
+        slot = block.add(world)
+        thunks[i] = lambda b=block, s=slot, a=args: _placement_trial(b.take(s), a)
     return thunks
 
 
@@ -572,7 +600,53 @@ def _fault_extra(faults, fault_time) -> dict | None:
     return {"faults": described, "time": fault_time}
 
 
-def resilient_mean_error_curve(
+def _run_sweep(
+    fn, fingerprint, config, noise, tail, *,
+    workers, journal_path, policy, progress, executor,
+) -> list[list]:
+    """Run one curve's ``(count, field)`` cells; values grouped by count.
+
+    Cell ``(count, index)`` calls ``fn((config, noise, count, index,
+    *tail))``; a failed cell's value is ``None``.  The journal, an executor
+    built here from ``workers`` and the world state published on it are
+    released before returning; a caller's ``executor`` stays open.
+    """
+    jobs = [
+        ((noise, count, index), (config, noise, count, index, *tail))
+        for count in config.beacon_counts
+        for index in range(config.fields_per_density)
+    ]
+    owned = None
+    if executor is None:
+        # Built here rather than in run_cells so a pool's shared world
+        # state is published before the first dispatch.
+        owned = executor = make_executor(workers=workers)
+    journal = shared = None
+    try:
+        journal = _open_journal(journal_path, fingerprint)
+        shared = publish_for_executor(executor, config, noises=[noise])
+        cells = run_cells(
+            jobs, fn,
+            policy=policy, journal=journal, progress=progress, executor=executor,
+        )
+    finally:
+        if shared is not None:
+            executor.shared_handle = None
+            shared.unlink()
+        if owned is not None:
+            owned.close()
+        if journal is not None:
+            journal.close()
+    return [
+        [
+            cells[_canon_key((noise, count, index))]
+            for index in range(config.fields_per_density)
+        ]
+        for count in config.beacon_counts
+    ]
+
+
+def mean_error_curve(
     config: ExperimentConfig,
     noise: float,
     *,
@@ -585,70 +659,47 @@ def resilient_mean_error_curve(
     progress: ProgressFn | None = None,
     executor: CellExecutor | None = None,
 ) -> Curve:
-    """Figure 4/6 series with checkpointing, retries and NaN degradation.
+    """Mean localization error vs beacon density (Figures 4 and 6).
 
-    With no journal, no failures and ``workers <= 1`` this is byte-identical
-    to :func:`repro.sim.mean_error_curve`; with a journal it resumes an
-    interrupted run and still produces the identical curve.
+    Every ``(count, field)`` cell runs through :func:`run_cells` —
+    in-process by default, on ``executor`` or on a pool of ``workers``
+    processes otherwise — and the curve is identical on every backend.  A
+    journal makes the sweep resumable to the same curve; a cell that
+    exhausts ``policy`` degrades to NaN, and ``meta["failed_cells"]`` counts
+    such cells.
 
     Args:
-        config: experiment parameters.
+        config: experiment parameters (counts, replications, seed …).
         noise: the model's noise level for every cell.
-        workers: process count (``<= 1`` = in-process).
+        workers: process count when no ``executor`` is given (``1`` =
+            in-process).
         journal_path: JSONL checkpoint path (next to your CSV output);
             ``None`` disables checkpointing.
         policy: per-cell retry/timeout policy.
-        label: series label override.
+        label: series label; defaults to ``"Noise=x"`` / ``"Ideal"``.
         faults: optional :class:`repro.faults.FaultModel` degrading every
             world (see :func:`repro.sim.build_world`).
         fault_time: snapshot time for ``faults``.
-        progress: optional status callback.
-        executor: run cells on this backend instead of ``workers`` local
-            processes (see :mod:`repro.sim.executors`); stays open for the
-            caller to reuse.
+        progress: optional status callback: one line per beacon count, plus
+            resume and failure notices.
+        executor: run cells on this backend (see :mod:`repro.sim.executors`);
+            it stays open for the caller to reuse.
     """
     if label is None:
         label = "Ideal" if noise == 0.0 else f"Noise={noise:g}"
-    fingerprint = sweep_fingerprint("mean-error", config, _fault_extra(faults, fault_time))
-    journal = _open_journal(journal_path, fingerprint)
-    jobs = [
-        ((noise, count, index), (config, noise, count, index, faults, fault_time))
-        for count in config.beacon_counts
-        for index in range(config.fields_per_density)
-    ]
-    shared = None
-    owned_executor = None
-    if executor is None and workers > 1:
-        # Build the pool here (instead of inside run_cells) so the shared
-        # world state can be published on it before the first dispatch.
-        owned_executor = executor = make_executor(workers=workers)
-    try:
-        shared = publish_for_executor(executor, config, noises=[noise])
-        cells = run_cells(
-            jobs, _mean_error_cell,
-            workers=workers, policy=policy, journal=journal, progress=progress,
-            executor=executor,
-        )
-    finally:
-        if shared is not None:
-            executor.shared_handle = None
-            shared.unlink()
-        if owned_executor is not None:
-            owned_executor.close()
-        if journal is not None:
-            journal.close()
+    per_count = _run_sweep(
+        _mean_error_cell,
+        sweep_fingerprint("mean-error", config, _fault_extra(faults, fault_time)),
+        config, noise, (faults, fault_time),
+        workers=workers, journal_path=journal_path, policy=policy,
+        progress=progress, executor=executor,
+    )
     samples_per_count = []
-    failed = 0
-    for count in config.beacon_counts:
-        samples = np.empty(config.fields_per_density)
-        for index in range(config.fields_per_density):
-            value = cells[_canon_key((noise, count, index))]
-            if value is None:
-                failed += 1
-                samples[index] = np.nan
-            else:
-                samples[index] = value
+    for count, values in zip(config.beacon_counts, per_count):
+        samples = np.array([np.nan if v is None else v for v in values], dtype=float)
         samples_per_count.append(samples)
+        if progress is not None:
+            progress(f"{label}: count={count} mean={samples.mean():.2f} m")
     curve = Curve.from_samples(
         label,
         config.beacon_counts,
@@ -656,11 +707,11 @@ def resilient_mean_error_curve(
         samples_per_count,
         confidence=config.confidence,
     )
-    curve.meta["failed_cells"] = failed
+    curve.meta["failed_cells"] = sum(v is None for values in per_count for v in values)
     return curve
 
 
-def resilient_placement_improvement_curves(
+def placement_improvement_curves(
     config: ExperimentConfig,
     noise: float,
     algorithms: Sequence[PlacementAlgorithm],
@@ -673,71 +724,43 @@ def resilient_placement_improvement_curves(
     progress: ProgressFn | None = None,
     executor: CellExecutor | None = None,
 ) -> tuple[CurveSet, CurveSet]:
-    """Figure 5/7–9 series with checkpointing, retries and NaN degradation.
+    """Improvement in mean and median error vs density (Figures 5, 7–9).
 
-    Failure of a cell degrades that replication to NaN for *every*
-    algorithm (the comparison stays paired); per-point coverage lands in
-    each curve's ``meta["coverage"]`` and the failed-cell total in the
-    curve sets' ``meta["failed_cells"]``.  See
-    :func:`resilient_mean_error_curve` for the argument semantics.
+    Every algorithm sees the same worlds and the same surveys; each draws
+    decisions from its own named RNG substream.  A failed cell degrades
+    that replication to NaN for *every* algorithm (the comparison stays
+    paired); per-point coverage lands in each curve's ``meta["coverage"]``
+    and the failed-cell total in the curve sets' ``meta["failed_cells"]``.
+    See :func:`mean_error_curve` for the other arguments.
+
+    Returns:
+        ``(mean_improvements, median_improvements)`` — two curve sets with
+        one series per algorithm.
     """
     names = [a.name for a in algorithms]
     if len(set(names)) != len(names):
         raise ValueError(f"algorithm names must be unique, got {names}")
-    fingerprint = sweep_fingerprint(
-        "improvement", config,
-        {"algorithms": names, **(_fault_extra(faults, fault_time) or {})},
+    per_count = _run_sweep(
+        _improvement_cell,
+        sweep_fingerprint(
+            "improvement", config,
+            {"algorithms": names, **(_fault_extra(faults, fault_time) or {})},
+        ),
+        config, noise, (faults, fault_time, tuple(algorithms)),
+        workers=workers, journal_path=journal_path, policy=policy,
+        progress=progress, executor=executor,
     )
-    journal = _open_journal(journal_path, fingerprint)
-    jobs = [
-        (
-            (noise, count, index),
-            (config, noise, count, index, faults, fault_time, tuple(algorithms)),
-        )
-        for count in config.beacon_counts
-        for index in range(config.fields_per_density)
-    ]
-    shared = None
-    owned_executor = None
-    if executor is None and workers > 1:
-        owned_executor = executor = make_executor(workers=workers)
-    try:
-        shared = publish_for_executor(executor, config, noises=[noise])
-        cells = run_cells(
-            jobs, _improvement_cell,
-            workers=workers, policy=policy, journal=journal, progress=progress,
-            executor=executor,
-        )
-    finally:
-        if shared is not None:
-            executor.shared_handle = None
-            shared.unlink()
-        if owned_executor is not None:
-            owned_executor.close()
-        if journal is not None:
-            journal.close()
-
     mean_samples = {n: [] for n in names}
     median_samples = {n: [] for n in names}
-    failed = 0
-    for count in config.beacon_counts:
-        cell_mean = {n: np.empty(config.fields_per_density) for n in names}
-        cell_median = {n: np.empty(config.fields_per_density) for n in names}
-        for index in range(config.fields_per_density):
-            value = cells[_canon_key((noise, count, index))]
-            if value is None:
-                failed += 1
-                for n in names:
-                    cell_mean[n][index] = np.nan
-                    cell_median[n][index] = np.nan
-            else:
-                for n in names:
-                    pair = value[n]
-                    cell_mean[n][index] = pair[0]
-                    cell_median[n][index] = pair[1]
+    for count, values in zip(config.beacon_counts, per_count):
         for n in names:
-            mean_samples[n].append(cell_mean[n])
-            median_samples[n].append(cell_median[n])
+            pairs = [(np.nan, np.nan) if v is None else v[n] for v in values]
+            mean_samples[n].append(np.array([p[0] for p in pairs], dtype=float))
+            median_samples[n].append(np.array([p[1] for p in pairs], dtype=float))
+        if progress is not None:
+            gains = ", ".join(f"{n}={mean_samples[n][-1].mean():.3f}" for n in names)
+            progress(f"noise={noise:g} count={count}: mean gains {gains} m")
+    failed = sum(v is None for values in per_count for v in values)
 
     def to_set(samples: dict, metric: str) -> CurveSet:
         curves = [
@@ -757,9 +780,13 @@ def resilient_placement_improvement_curves(
                 "noise": noise,
                 "fields_per_density": config.fields_per_density,
                 "metric": metric,
-                "workers": workers,
                 "failed_cells": failed,
             },
         )
 
     return to_set(mean_samples, "mean"), to_set(median_samples, "median")
+
+
+#: Second names of the two drivers, kept because callers import them.
+resilient_mean_error_curve = mean_error_curve
+resilient_placement_improvement_curves = placement_improvement_curves

@@ -307,7 +307,6 @@ def fault_error_timeline(
                 "beacons": timeline.beacons,
                 "trials": timeline.trials,
                 "percentile": timeline.percentile,
-                "workers": workers,
                 "failed_cells": failed,
             },
         )

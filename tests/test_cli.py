@@ -184,6 +184,28 @@ class TestCommands:
         assert main(argv) == 0
         assert capsys.readouterr().out == first
 
+    def test_greedyk_closes_its_journal(self, capsys, tmp_path, monkeypatch):
+        """Like every library sweep driver, greedy-k leaves no journal handle
+        open once the command returns."""
+        from repro.sim import SweepJournal
+
+        opened = []
+        real_open = SweepJournal.open.__func__
+
+        def recording_open(cls, path, fingerprint):
+            journal = real_open(cls, path, fingerprint)
+            opened.append(journal)
+            return journal
+
+        monkeypatch.setattr(SweepJournal, "open", classmethod(recording_open))
+        journal = tmp_path / "gk.jsonl"
+        argv = ["--fields", "1", "--counts", "8", "--journal", str(journal),
+                "greedyk", "--beacons", "8", "--k", "1", "--subsample", "10"]
+        assert main(argv) == 0
+        assert len(opened) == 1
+        assert opened[0]._handle is None
+        assert len(SweepJournal.open(journal, opened[0].fingerprint)) == 1
+
     def test_trace_profile_then_obs_summary(self, capsys, tmp_path):
         run_dir = tmp_path / "run"
         code = main(

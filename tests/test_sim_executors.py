@@ -6,30 +6,40 @@ import socket as socket_mod
 import struct
 import threading
 import time
+import warnings
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
 from repro.obs import (
     MetricsRegistry,
     disable_metrics,
+    disable_tracing,
     enable_metrics,
+    enable_tracing,
     merge_journals,
+    read_trace,
 )
 from repro.placement import MaxPlacement, RandomPlacement
 from repro.sim import (
+    Curve,
     PoolExecutor,
     RetryPolicy,
     SerialExecutor,
     SocketExecutor,
     SweepJournal,
     WorkerRejected,
+    build_world,
     make_executor,
+    mean_error_curve,
+    placement_improvement_curves,
     resilient_mean_error_curve,
     resilient_placement_improvement_curves,
     run_cells,
     run_worker,
     spawn_context,
+    validate_workers,
 )
 from repro.sim.executors.base import cell_fn_ref, resolve_cell_fn, run_one_cell
 from repro.sim.executors.cache import (
@@ -305,6 +315,25 @@ class TestFactory:
         with pytest.raises(ValueError, match="unknown executor"):
             make_executor("telepathy")
 
+    def test_rejects_bad_workers(self, tiny_config):
+        with pytest.raises(ValueError, match="workers"):
+            make_executor(workers=0)
+        with pytest.raises(ValueError, match="workers"):
+            mean_error_curve(tiny_config, 0.0, workers=0)
+
+    def test_oversubscription_warns_but_allows(self):
+        too_many = (os.cpu_count() or 1) + 1
+        with pytest.warns(RuntimeWarning, match="oversubscribes"):
+            assert validate_workers(too_many) == too_many
+
+    def test_sane_count_is_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert validate_workers(1) == 1
+
+    def test_spawn_context_pinned(self):
+        assert spawn_context().get_start_method() == "spawn"
+
     def test_bad_chunk_rejected(self):
         with pytest.raises(ValueError, match="chunk"):
             PoolExecutor(workers=1, chunk=0)
@@ -576,6 +605,66 @@ class TestBackendsBitIdentical:
                 for got, want in zip(got_set.curves, want_set.curves):
                     assert got.values == want.values
                     assert got.ci_half_widths == want.ci_half_widths
+
+    def test_serial_executor_matches_per_world_loop(self, tiny_config):
+        """The in-process backend plans its cells through the batched
+        kernels; a plain loop over scalar ``TrialWorld`` evaluations is the
+        reference it must match bit for bit."""
+        config = tiny_config.with_counts([8, 20])
+        curve = mean_error_curve(config, 0.3, executor=SerialExecutor())
+        samples = [
+            np.array([
+                build_world(config, 0.3, count, index).error_surface().mean_error()
+                for index in range(config.fields_per_density)
+            ])
+            for count in config.beacon_counts
+        ]
+        want = Curve.from_samples(
+            "Noise=0.3", config.beacon_counts, config.densities(), samples,
+            confidence=config.confidence,
+        )
+        assert curve.label == want.label
+        assert curve.values == want.values
+        assert curve.ci_half_widths == want.ci_half_widths
+
+    def test_improvement_two_workers_match_serial(self, tiny_config):
+        config = tiny_config.with_counts([8, 20])
+        algorithms = [RandomPlacement(), MaxPlacement()]
+        serial_sets = placement_improvement_curves(config, 0.0, algorithms)
+        pool_sets = placement_improvement_curves(config, 0.0, algorithms, workers=2)
+        for got_set, want_set in zip(pool_sets, serial_sets):
+            for got, want in zip(got_set.curves, want_set.curves):
+                assert got.values == want.values
+
+    def test_duplicate_names_rejected_before_dispatch(self, tiny_config):
+        with PoolExecutor(workers=2) as pool:
+            with pytest.raises(ValueError, match="unique"):
+                placement_improvement_curves(
+                    tiny_config, 0.0, [RandomPlacement(), RandomPlacement()],
+                    executor=pool,
+                )
+            assert pool._pool is None  # no worker was ever started
+
+    def test_aliases_are_the_drivers(self):
+        assert resilient_mean_error_curve is mean_error_curve
+        assert resilient_placement_improvement_curves is placement_improvement_curves
+
+    def test_run_cells_span_names_executor(self, tiny_config, tmp_path):
+        """The span records the backend the cells ran on, whatever the
+        (unused) ``workers`` default says."""
+        enable_tracing(tmp_path / "trace.jsonl")
+        try:
+            with PoolExecutor(workers=2, chunk=2) as pool:
+                mean_error_curve(tiny_config.with_counts([8]), 0.0, executor=pool)
+            mean_error_curve(tiny_config.with_counts([8]), 0.0)
+        finally:
+            disable_tracing()
+        _, records = read_trace(tmp_path / "trace.jsonl")
+        spans = [r for r in records if r["name"] == "sweep.run_cells"]
+        assert [s["attrs"]["executor"] for s in spans] == [
+            "PoolExecutor", "SerialExecutor",
+        ]
+        assert all("workers" not in s["attrs"] for s in spans)
 
 
 # -- World-component cache ---------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,14 +24,18 @@ from repro.obs import MetricsRegistry, disable_metrics, enable_metrics
 from repro.placement import MaxPlacement, RandomPlacement
 from repro.sim import (
     PoolExecutor,
+    SerialExecutor,
     batch_surface_stats,
     build_world,
     kernel_mode,
+    mean_error_curve,
+    placement_improvement_curves,
     resilient_mean_error_curve,
     resilient_placement_improvement_curves,
     set_kernel_mode,
     warm_worlds,
 )
+from repro.sim import resilient as resilient_mod
 from repro.sim.executors import clear_world_cache
 from repro.sim.executors import shm as shm_mod
 from repro.sim.executors.base import (
@@ -209,6 +214,31 @@ class TestWarmWorldsBitIdentity:
         assert np.isnan(medians).all()
 
 
+def _traced_peak(fn) -> int:
+    """Peak bytes ``tracemalloc`` sees allocated while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWarmWorldsMemory:
+    def test_batched_peak_no_higher_than_scalar_at_paper_geometry(self):
+        """One 240-beacon noisy world at side 100 m, step 1 m: the batched
+        pass peaks no higher than the scalar evaluation.  Only its stacked
+        seed/id/position inputs (a few KiB) are extra; the (T, P, N, 2)
+        distance temporary must be gone before the range pass allocates."""
+        config = ExperimentConfig(seed=7, fields_per_density=1)
+        batched, scalar = build_world_pair(config, 0.1, 240, 0)
+        batched.points(), scalar.points()  # the shared lattice, built once
+        batched_peak = _traced_peak(lambda: warm_worlds([batched]))
+        scalar_peak = _traced_peak(scalar.error_surface)
+        assert batched_peak <= scalar_peak + 64 * 1024
+        assert_bits_equal(batched.errors(), scalar.errors())
+
+
 # -- Eligibility: what stays scalar ------------------------------------------
 
 
@@ -353,6 +383,67 @@ class TestSweepBatchIdentity:
         assert executor.shared_handle is None  # driver reset it after unlink
         assert_bits_equal(curve.values, reference.values)
         assert_bits_equal(curve.ci_half_widths, reference.ci_half_widths)
+
+    def test_serial_improvement_sweep_warms_one_sub_block_at_a_time(self, monkeypatch):
+        """A serial block of improvement cells is warmed lazily in sub-blocks
+        of one beacon count and about ``DEFAULT_BLOCK_ELEMENTS`` links:
+        whenever one is warmed, every world warmed before it has already run
+        its trial."""
+        config = tiny_config(beacon_counts=(4, 8), fields_per_density=6)
+        points = build_world(config, 0.0, 8, 0).points().shape[0]
+        # Four 8-beacon worlds; the six 4-beacon ones stay below it alone.
+        bound = 4 * points * 8
+        monkeypatch.setattr(resilient_mod, "DEFAULT_BLOCK_ELEMENTS", bound)
+        waiting: set = set()
+        warm_calls = []  # (worlds left waiting, links warmed, beacon counts)
+        real_warm = resilient_mod.warm_worlds
+        real_trial = resilient_mod.run_placement_trial
+
+        def recording_warm(worlds, **kwargs):
+            links = sum(points * len(w.field) for w in worlds)
+            warm_calls.append((len(waiting), links, {len(w.field) for w in worlds}))
+            waiting.update(map(id, worlds))
+            return real_warm(worlds, **kwargs)
+
+        def recording_trial(world, algorithms, rng_for):
+            waiting.discard(id(world))
+            return real_trial(world, algorithms, rng_for)
+
+        monkeypatch.setattr(resilient_mod, "warm_worlds", recording_warm)
+        monkeypatch.setattr(resilient_mod, "run_placement_trial", recording_trial)
+        algorithms = [RandomPlacement(), MaxPlacement()]
+        batched = placement_improvement_curves(
+            config, 0.0, algorithms, executor=SerialExecutor()
+        )
+        assert len(warm_calls) == 3
+        assert all(earlier == 0 for earlier, _, _ in warm_calls)
+        assert all(links < bound + points * 8 for _, links, _ in warm_calls)
+        assert all(len(counts) == 1 for _, _, counts in warm_calls)
+        assert not waiting
+        set_kernel_mode("scalar")
+        scalar = placement_improvement_curves(config, 0.0, algorithms)
+        for b_set, s_set in zip(batched, scalar):
+            for b, s in zip(b_set.curves, s_set.curves):
+                assert_bits_equal(b.values, s.values)
+                assert_bits_equal(b.ci_half_widths, s.ci_half_widths)
+
+    def test_mean_error_blocks_never_span_two_counts(self, monkeypatch):
+        """Worlds of different beacon counts never share a kernel pass, so a
+        block closes where the count changes instead of holding one count's
+        warmed worlds through the next count's pass."""
+        config = tiny_config(beacon_counts=(4, 8), fields_per_density=3)
+        counts_per_pass = []
+        real_warm = resilient_mod.warm_worlds
+
+        def recording_warm(worlds, **kwargs):
+            counts_per_pass.append({len(w.field) for w in worlds})
+            return real_warm(worlds, **kwargs)
+
+        monkeypatch.setattr(resilient_mod, "warm_worlds", recording_warm)
+        batched = mean_error_curve(config, 0.3, executor=SerialExecutor())
+        assert counts_per_pass == [{4}, {8}]
+        set_kernel_mode("scalar")
+        assert_bits_equal(batched.values, mean_error_curve(config, 0.3).values)
 
 
 # -- Shared-memory world state ------------------------------------------------

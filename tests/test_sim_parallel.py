@@ -1,88 +1,17 @@
-"""Unit tests for repro.sim.parallel (multiprocess sweeps)."""
+"""Multiprocess sweeps through the driver's ``workers=`` pool path."""
 
-import pytest
-
-from repro.placement import MaxPlacement, RandomPlacement
-from repro.sim import (
-    mean_error_curve,
-    parallel_mean_error_curve,
-    parallel_placement_improvement_curves,
-    placement_improvement_curves,
-)
+from repro.sim import mean_error_curve
 
 
 class TestParallelMeanError:
-    def test_workers_one_matches_serial(self, tiny_config):
-        serial = mean_error_curve(tiny_config, 0.3)
-        parallel = parallel_mean_error_curve(tiny_config, 0.3, workers=1)
-        assert serial.values == parallel.values
-        assert serial.ci_half_widths == parallel.ci_half_widths
-
     def test_two_workers_match_serial(self, tiny_config):
-        """Determinism survives the pool: named streams, no shared state."""
+        """Determinism survives a driver-built pool: named streams, no
+        shared state."""
         serial = mean_error_curve(tiny_config, 0.0)
-        parallel = parallel_mean_error_curve(tiny_config, 0.0, workers=2)
-        assert serial.values == parallel.values
+        pooled = mean_error_curve(tiny_config, 0.0, workers=2)
+        assert pooled.label == serial.label
+        assert pooled.values == serial.values
+        assert pooled.ci_half_widths == serial.ci_half_widths
 
     def test_label_default(self, tiny_config):
-        assert parallel_mean_error_curve(tiny_config, 0.0, workers=1).label == "Ideal"
-
-    def test_rejects_bad_workers(self, tiny_config):
-        with pytest.raises(ValueError, match="workers"):
-            parallel_mean_error_curve(tiny_config, 0.0, workers=0)
-
-
-class TestWorkerValidation:
-    def test_oversubscription_warns_but_allows(self):
-        import os
-
-        from repro.sim import validate_workers
-
-        too_many = (os.cpu_count() or 1) + 1
-        with pytest.warns(RuntimeWarning, match="oversubscribes"):
-            assert validate_workers(too_many) == too_many
-
-    def test_sane_count_is_silent(self):
-        import warnings
-
-        from repro.sim import validate_workers
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert validate_workers(1) == 1
-
-    def test_spawn_context_pinned(self):
-        from repro.sim import spawn_context
-
-        assert spawn_context().get_start_method() == "spawn"
-
-
-class TestParallelImprovements:
-    @pytest.fixture
-    def algorithms(self):
-        return [RandomPlacement(), MaxPlacement()]
-
-    def test_two_workers_match_serial(self, tiny_config, algorithms):
-        config = tiny_config.with_counts([8, 20])
-        serial_mean, serial_median = placement_improvement_curves(
-            config, 0.0, algorithms
-        )
-        par_mean, par_median = parallel_placement_improvement_curves(
-            config, 0.0, algorithms, workers=2
-        )
-        for s, p in zip(serial_mean.curves, par_mean.curves):
-            assert s.values == p.values
-        for s, p in zip(serial_median.curves, par_median.curves):
-            assert s.values == p.values
-
-    def test_duplicate_names_rejected(self, tiny_config):
-        with pytest.raises(ValueError, match="unique"):
-            parallel_placement_improvement_curves(
-                tiny_config, 0.0, [RandomPlacement(), RandomPlacement()], workers=1
-            )
-
-    def test_meta_records_workers(self, tiny_config, algorithms):
-        mean_set, _ = parallel_placement_improvement_curves(
-            tiny_config.with_counts([8]), 0.0, algorithms, workers=2
-        )
-        assert mean_set.meta["workers"] == 2
+        assert mean_error_curve(tiny_config, 0.0, workers=1).label == "Ideal"

@@ -1,4 +1,4 @@
-"""Unit tests for repro.sim.sweep (the §4 methodology drivers)."""
+"""Unit tests for build_world and the Figure 4–9 sweep drivers (the §4 methodology)."""
 
 import numpy as np
 import pytest
