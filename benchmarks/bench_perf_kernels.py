@@ -21,7 +21,6 @@ from repro.sim import (
     build_world,
     paper_config,
     run_cells,
-    set_kernel_mode,
 )
 from repro.sim.resilient import _mean_error_cell
 
@@ -207,6 +206,12 @@ SWEEP_WORKERS = 2
 SWEEP_CHUNK = 32
 
 
+def _scalar_mean_error_cell(args) -> float:
+    """:func:`_mean_error_cell` with no batch planner registered for it, so
+    ``run_cells`` evaluates every cell through its own scalar world."""
+    return _mean_error_cell(args)
+
+
 def test_batched_sweep_beats_scalar(emit_table):
     """The tentpole claim, measured: one (T × P × N) kernel pass per chunk
     must clearly beat per-cell scalar evaluation on the reference sweep,
@@ -232,27 +237,24 @@ def test_batched_sweep_beats_scalar(emit_table):
 
     pool = PoolExecutor(workers=SWEEP_WORKERS, chunk=SWEEP_CHUNK)
     modes = {
-        "serial scalar (legacy)": ("scalar", None),
-        "serial batched": ("batch", None),
+        "serial scalar (legacy)": (_scalar_mean_error_cell, None),
+        "serial batched": (_mean_error_cell, None),
         f"pool batched (workers={SWEEP_WORKERS}, chunk={SWEEP_CHUNK})": (
-            "batch",
+            _mean_error_cell,
             pool,
         ),
     }
     best = {name: float("inf") for name in modes}
     results = {}
     try:
-        for kernels, executor in modes.values():
-            set_kernel_mode(kernels)
-            run_cells(warm, _mean_error_cell, executor=executor)
+        for cell, executor in modes.values():
+            run_cells(warm, cell, executor=executor)
         for _ in range(SWEEP_ROUNDS):
-            for name, (kernels, executor) in modes.items():
-                set_kernel_mode(kernels)
+            for name, (cell, executor) in modes.items():
                 start = time.perf_counter()
-                results[name] = run_cells(jobs, _mean_error_cell, executor=executor)
+                results[name] = run_cells(jobs, cell, executor=executor)
                 best[name] = min(best[name], time.perf_counter() - start)
     finally:
-        set_kernel_mode("batch")
         pool.close()
 
     scalar, batched, pooled = list(modes)

@@ -49,7 +49,9 @@ Long sweeps are resilient: ``--workers N`` fans cells across processes and
 interrupted ``reproduce`` resumes instead of recomputing.  ``--executor
 {serial,pool,socket}`` picks where cells run (``--chunk`` sets the cells
 per dispatch, ``--bind`` the socket listen address); see
-:mod:`repro.sim.executors`.
+:mod:`repro.sim.executors`.  A sweep command builds its executor once, so
+every panel of a multi-panel figure runs on the same pool or socket
+workers.
 
 Any command can be observed: ``--trace DIR`` writes a JSONL span trace and
 a metrics snapshot into ``DIR`` (render them with ``beaconplace obs DIR``)
@@ -62,6 +64,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -130,6 +133,17 @@ def _paper_algorithms(config):
     ]
 
 
+def _write_csv(write, curve_set: CurveSet, args, csv_suffix: str) -> None:
+    """Write ``curve_set`` to ``--csv``, ``csv_suffix`` before the extension."""
+    if not args.csv:
+        return
+    target = args.csv
+    if csv_suffix:
+        p = Path(target)
+        target = p.with_name(p.stem + csv_suffix + p.suffix)
+    print(f"\nwrote {write(curve_set, target)}")
+
+
 def _emit(curve_set: CurveSet, args, csv_suffix: str = "") -> None:
     print(format_curve_set(curve_set))
     series = [(c.label, c.densities, c.values) for c in curve_set.curves]
@@ -143,15 +157,7 @@ def _emit(curve_set: CurveSet, args, csv_suffix: str = "") -> None:
             y_min=0.0,
         )
     )
-    if args.csv:
-        target = args.csv
-        if csv_suffix:
-            from pathlib import Path
-
-            p = Path(target)
-            target = p.with_name(p.stem + csv_suffix + p.suffix)
-        path = write_curve_set(curve_set, target)
-        print(f"\nwrote {path}")
+    _write_csv(write_curve_set, curve_set, args, csv_suffix)
 
 
 def _cmd_table1(args) -> int:
@@ -172,80 +178,50 @@ def _cmd_table1(args) -> int:
     return 0
 
 
-def _executor_from_args(args):
-    """The CellExecutor requested by --executor/--chunk, built once per run.
+def _sweep_options(args) -> dict:
+    """The ``executor``, ``journal_path`` and ``progress`` of a sweep command.
 
-    The instance is cached on ``args`` so every sweep of a multi-panel
-    figure shares it — for the socket backend that means workers stay
-    connected across panels; ``main`` closes it when the command finishes.
-    ``None`` means "no explicit choice": the sweep layer's default (serial
-    or pool, from ``--workers``) applies.
+    The executor comes from ``--executor/--workers/--chunk/--bind``; it is
+    built once per command and kept on ``args`` for ``main`` to close.
+    Every sweep of the command (each noise panel of a figure) runs on it —
+    one warm pool, socket workers that stay connected.  One journal file
+    serves a whole multi-noise figure: the fingerprint covers (kind,
+    config) while each cell key carries its noise level.
     """
-    executor = getattr(args, "_executor", None)
-    if executor is not None:
-        return executor
-    name = args.executor
-    if name is None and args.chunk is not None and args.workers > 1:
-        name = "pool"  # --chunk alone upgrades the default pool to chunked
-    if name is None:
-        return None
-    executor = make_executor(
-        name, workers=args.workers, chunk=args.chunk,
-        bind=args.bind or ("127.0.0.1", 0),
-    )
-    if name == "socket":
-        host, port = executor.address
-        print(
-            f"serving sweep cells on {host}:{port} — join with: "
-            f"beaconplace worker --connect {host}:{port}",
-            file=sys.stderr,
+    if getattr(args, "_executor", None) is None:
+        args._executor = make_executor(
+            args.executor, workers=args.workers, chunk=args.chunk, bind=args.bind
         )
-    args._executor = executor
-    return executor
-
-
-def _mean_curve(config, noise, args):
-    """A figure 4/6 series on the workers, executor and journal the flags give.
-
-    One journal file serves a whole multi-noise figure: the fingerprint
-    covers (kind, config) while each cell key carries its noise level.
-    """
-    return mean_error_curve(
-        config,
-        noise,
-        workers=args.workers,
-        journal_path=args.journal,
-        progress=_progress(args),
-        executor=_executor_from_args(args),
-    )
-
-
-def _improvement(config, noise, algorithms, args):
-    """Figure 5/7–9 curve sets, run as :func:`_mean_curve` runs its series."""
-    return placement_improvement_curves(
-        config,
-        noise,
-        algorithms,
-        workers=args.workers,
-        journal_path=args.journal,
-        progress=_progress(args),
-        executor=_executor_from_args(args),
-    )
+        if args.executor == "socket":
+            host, port = args._executor.address
+            print(
+                f"serving sweep cells on {host}:{port} — join with: "
+                f"beaconplace worker --connect {host}:{port}",
+                file=sys.stderr,
+            )
+    return {
+        "executor": args._executor,
+        "journal_path": args.journal,
+        "progress": _progress(args),
+    }
 
 
 def _cmd_reproduce(args) -> int:
     config = _config_from_args(args)
     figure = args.figure
+    sweep = _sweep_options(args)
     if figure == "fig4":
-        curve = _mean_curve(config, 0.0, args)
+        curve = mean_error_curve(config, 0.0, **sweep)
         _emit(CurveSet("Figure 4: mean localization error vs density (Ideal)", [curve]), args)
         return 0
     if figure == "fig6":
-        curves = [_mean_curve(config, noise, args) for noise in PAPER_NOISE_LEVELS]
+        curves = [mean_error_curve(config, noise, **sweep) for noise in PAPER_NOISE_LEVELS]
         _emit(CurveSet("Figure 6: mean localization error vs density (Noise)", curves), args)
         return 0
     if figure == "fig5":
-        mean_set, median_set = _improvement(config, 0.0, _paper_algorithms(config), args)
+        mean_set, median_set = placement_improvement_curves(
+            config, 0.0, _paper_algorithms(config), **sweep
+        )
         mean_set.title = "Figure 5a: improvement in mean error (Ideal)"
         median_set.title = "Figure 5b: improvement in median error (Ideal)"
         _emit(mean_set, args, csv_suffix="_mean")
@@ -259,7 +235,9 @@ def _cmd_reproduce(args) -> int:
         )
     mean_curves, median_curves = [], []
     for noise in PAPER_NOISE_LEVELS:
-        mean_set, median_set = _improvement(config, noise, [algorithm], args)
+        mean_set, median_set = placement_improvement_curves(
+            config, noise, [algorithm], **sweep
+        )
         label = "Ideal" if noise == 0.0 else f"Noise={noise:g}"
         mean_curves.append(_relabel(mean_set.curves[0], label))
         median_curves.append(_relabel(median_set.curves[0], label))
@@ -293,6 +271,12 @@ def _progress(args):
         print(f"  … {message}", file=sys.stderr)
 
     return report
+
+
+def _warn_failed(failed: int) -> None:
+    """Report the sweep cells that exhausted their retries, on stderr."""
+    if failed:
+        print(f"\nwarning: {failed} cell(s) exhausted retries (NaN-degraded)", file=sys.stderr)
 
 
 def _cmd_place(args) -> int:
@@ -521,23 +505,26 @@ def _parse_floats(text: str) -> list[float]:
     return values
 
 
-def _fault_model_from_args(args):
-    if args.mode == "crash":
+def _fault_model(name: str, args):
+    """The fault model ``name``, parameterized by the shared fault flags."""
+    if name == "crash":
         return CrashFault(args.lifetime)
-    if args.mode == "battery":
+    if name == "battery":
         return BatteryFault(args.lifetime, spread=args.spread)
-    if args.mode == "flap":
+    if name in ("intermittent", "flap"):
         return IntermittentFault(args.up_time, args.down_time)
-    if args.mode == "drift":
+    if name == "drift":
         return DriftFault(args.drift_rate, args.max_drift)
-    return CompositeFault(
-        [CrashFault(args.lifetime), DriftFault(args.drift_rate, args.max_drift)]
-    )
+    if name == "mixed":
+        return CompositeFault(
+            [CrashFault(args.lifetime), DriftFault(args.drift_rate, args.max_drift)]
+        )
+    return NoFaults()
 
 
 def _cmd_faults(args) -> int:
     config = _config_from_args(args)
-    model = _fault_model_from_args(args)
+    model = _fault_model(args.mode, args)
     algorithms = _paper_algorithms(config)
     rows = []
     for t in args.times:
@@ -625,23 +612,7 @@ def _parse_model_names(text: str) -> list[str]:
 
 def _timeline_models(args):
     """The (name, model) list for the timeline sweep, from the fault flags."""
-
-    def build(name):
-        if name == "crash":
-            return CrashFault(args.lifetime)
-        if name == "battery":
-            return BatteryFault(args.lifetime, spread=args.spread)
-        if name in ("intermittent", "flap"):
-            return IntermittentFault(args.up_time, args.down_time)
-        if name == "drift":
-            return DriftFault(args.drift_rate, args.max_drift)
-        if name == "mixed":
-            return CompositeFault(
-                [CrashFault(args.lifetime), DriftFault(args.drift_rate, args.max_drift)]
-            )
-        return NoFaults()
-
-    return [(name, build(name)) for name in args.models]
+    return [(name, _fault_model(name, args)) for name in args.models]
 
 
 def _emit_timeline(curve_set, args, csv_suffix: str = "") -> None:
@@ -657,34 +628,19 @@ def _emit_timeline(curve_set, args, csv_suffix: str = "") -> None:
             y_min=0.0,
         )
     )
-    if args.csv:
-        target = args.csv
-        if csv_suffix:
-            from pathlib import Path
-
-            p = Path(target)
-            target = p.with_name(p.stem + csv_suffix + p.suffix)
-        path = write_time_curve_set(curve_set, target)
-        print(f"\nwrote {path}")
+    _write_csv(write_time_curve_set, curve_set, args, csv_suffix)
 
 
 def _cmd_timeline(args) -> int:
     config = _config_from_args(args)
     mean_set, upper_set = fault_error_timeline(
-        config,
-        _timeline_from_args(args),
-        _timeline_models(args),
-        workers=args.workers,
-        journal_path=args.journal,
-        progress=_progress(args),
-        executor=_executor_from_args(args),
+        config, _timeline_from_args(args), _timeline_models(args),
+        **_sweep_options(args),
     )
     _emit_timeline(mean_set, args, csv_suffix="_mean")
     print()
     _emit_timeline(upper_set, args, csv_suffix=f"_p{args.percentile:g}")
-    failed = mean_set.meta.get("failed_cells", 0)
-    if failed:
-        print(f"\nwarning: {failed} cell(s) exhausted retries (NaN-degraded)", file=sys.stderr)
+    _warn_failed(mean_set.meta.get("failed_cells", 0))
     return 0
 
 
@@ -712,14 +668,8 @@ def _cmd_selfheal(args) -> int:
         penalty=args.penalty,
     )
     result = selfheal_timeline(
-        config,
-        _timeline_from_args(args),
-        _timeline_models(args),
-        controller,
-        workers=args.workers,
-        journal_path=args.journal,
-        progress=_progress(args),
-        executor=_executor_from_args(args),
+        config, _timeline_from_args(args), _timeline_models(args), controller,
+        **_sweep_options(args),
     )
     for curve_set, suffix in (
         (result.off_mean, "_off_mean"),
@@ -743,7 +693,6 @@ def _cmd_selfheal(args) -> int:
         )
     if args.decisions:
         import json
-        from pathlib import Path
 
         payload = {
             "controller": controller.spec(),
@@ -756,12 +705,7 @@ def _cmd_selfheal(args) -> int:
             json.dumps(payload, sort_keys=True, indent=2) + "\n"
         )
         print(f"\nwrote decision log {args.decisions}")
-    failed = result.on_mean.meta.get("failed_cells", 0)
-    if failed:
-        print(
-            f"\nwarning: {failed} cell(s) exhausted retries (NaN-degraded)",
-            file=sys.stderr,
-        )
+    _warn_failed(result.on_mean.meta.get("failed_cells", 0))
     return 0
 
 
@@ -773,8 +717,9 @@ def _cmd_greedyk(args) -> int:
     across backends (the CI incremental-smoke job compares serial vs pool
     CSVs byte for byte).
     """
-    from .sim import RetryPolicy, SweepJournal, run_cells, sweep_fingerprint
+    from .sim import run_cells, sweep_fingerprint
     from .sim.incremental import _greedyk_cell
+    from .sim.resilient import _journal_at
 
     config = _config_from_args(args)
     counts = args.counts if args.counts else [args.beacons]
@@ -789,20 +734,12 @@ def _cmd_greedyk(args) -> int:
     fingerprint = sweep_fingerprint(
         "greedy-k", config, {"k": args.k, "subsample": args.subsample}
     )
-    journal = SweepJournal.open(args.journal, fingerprint) if args.journal else None
-    try:
+    sweep = _sweep_options(args)
+    with _journal_at(sweep["journal_path"], fingerprint) as journal:
         results = run_cells(
-            jobs,
-            _greedyk_cell,
-            workers=args.workers,
-            policy=RetryPolicy(),
-            journal=journal,
-            progress=_progress(args),
-            executor=_executor_from_args(args),
+            jobs, _greedyk_cell,
+            journal=journal, progress=sweep["progress"], executor=sweep["executor"],
         )
-    finally:
-        if journal is not None:
-            journal.close()
 
     rows = []
     for key, _ in jobs:
@@ -835,27 +772,18 @@ def _cmd_greedyk(args) -> int:
             f"{base:.4f} -> {after:.4f} m (greedy-{args.k})"
         )
     if args.csv:
-        from pathlib import Path
-
         lines = [",".join(header)]
         for n, c, i, b, f, p in rows:
             lines.append(f"{n!r},{c},{i},{b!r},{f!r},{p}")
         Path(args.csv).write_text("\n".join(lines) + "\n")
         print(f"\nwrote {args.csv}")
-    failed = sum(1 for _, _, _, b, _, _ in rows if b != b)
-    if failed:
-        print(
-            f"\nwarning: {failed} cell(s) exhausted retries (NaN-degraded)",
-            file=sys.stderr,
-        )
+    _warn_failed(sum(1 for _, _, _, b, _, _ in rows if b != b))
     return 0
 
 
 def _cmd_obs(args) -> int:
     try:
         if args.tree:
-            from pathlib import Path
-
             print(format_trace_tree(Path(args.run_dir) / TRACE_FILENAME))
         else:
             print(summarize_run_dir(args.run_dir))
@@ -907,7 +835,6 @@ def _cmd_top(args) -> int:
 def _cmd_status(args) -> int:
     """One-shot sweep status; ``--prom`` renders Prometheus text format."""
     import json
-    from pathlib import Path
 
     status = read_status(args.run_dir)
     if args.prom:
@@ -1172,16 +1099,6 @@ def build_parser() -> argparse.ArgumentParser:
             "a free port, announced on stderr)"
         ),
     )
-    parser.add_argument(
-        "--kernels",
-        choices=["batch", "scalar"],
-        default=None,
-        help=(
-            "cell evaluation path: 'batch' (default) pre-computes dispatch "
-            "chunks through the vectorized LE kernels, 'scalar' forces the "
-            "legacy per-cell path (A/B measurement; also REPRO_KERNELS)"
-        ),
-    )
     parser.add_argument("-v", "--verbose", action="store_true", help="progress to stderr")
     parser.add_argument(
         "--trace",
@@ -1257,6 +1174,31 @@ def build_parser() -> argparse.ArgumentParser:
     report = sub.add_parser("report", help="write a markdown evaluation report")
     report.add_argument("--output", default="beaconplace-report.md")
 
+    def add_fault_arguments(p) -> None:
+        """The fault-model parameters ``faults``, ``timeline`` and ``selfheal`` share."""
+        p.add_argument(
+            "--lifetime", type=float, default=50.0,
+            help="mean beacon lifetime (crash/battery/mixed)",
+        )
+        p.add_argument(
+            "--spread", type=float, default=0.1, help="battery lifetime spread fraction"
+        )
+        p.add_argument(
+            "--up-time", type=float, default=30.0,
+            help="intermittent (flap) mean up-time",
+        )
+        p.add_argument(
+            "--down-time", type=float, default=10.0,
+            help="intermittent (flap) mean down-time",
+        )
+        p.add_argument(
+            "--drift-rate", type=float, default=0.5,
+            help="drift magnitude in m per unit sqrt(time) (drift/mixed)",
+        )
+        p.add_argument(
+            "--max-drift", type=float, default=10.0, help="drift displacement cap in m"
+        )
+
     faults = sub.add_parser(
         "faults", help="degrade a deployment under a fault model over time"
     )
@@ -1267,30 +1209,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["crash", "flap", "battery", "drift", "mixed"],
         default="crash",
     )
-    faults.add_argument(
-        "--lifetime",
-        type=float,
-        default=50.0,
-        help="mean beacon lifetime (crash/battery/mixed)",
-    )
-    faults.add_argument(
-        "--spread", type=float, default=0.1, help="battery lifetime spread fraction"
-    )
-    faults.add_argument(
-        "--up-time", type=float, default=30.0, help="flap mean up-time"
-    )
-    faults.add_argument(
-        "--down-time", type=float, default=10.0, help="flap mean down-time"
-    )
-    faults.add_argument(
-        "--drift-rate",
-        type=float,
-        default=0.5,
-        help="drift magnitude in m per unit sqrt(time) (drift/mixed)",
-    )
-    faults.add_argument(
-        "--max-drift", type=float, default=10.0, help="drift displacement cap in m"
-    )
+    add_fault_arguments(faults)
     faults.add_argument(
         "--times",
         type=_parse_floats,
@@ -1336,26 +1255,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=500,
             help="bootstrap iterations behind each confidence interval",
         )
-        p.add_argument(
-            "--lifetime", type=float, default=50.0,
-            help="mean beacon lifetime (crash/battery/mixed)",
-        )
-        p.add_argument(
-            "--spread", type=float, default=0.1, help="battery lifetime spread fraction"
-        )
-        p.add_argument(
-            "--up-time", type=float, default=30.0, help="intermittent mean up-time"
-        )
-        p.add_argument(
-            "--down-time", type=float, default=10.0, help="intermittent mean down-time"
-        )
-        p.add_argument(
-            "--drift-rate", type=float, default=0.5,
-            help="drift magnitude in m per unit sqrt(time) (drift/mixed)",
-        )
-        p.add_argument(
-            "--max-drift", type=float, default=10.0, help="drift displacement cap in m"
-        )
+        add_fault_arguments(p)
 
     timeline = sub.add_parser(
         "timeline",
@@ -1650,10 +1550,6 @@ _COMMANDS = {
 def main(argv=None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    if getattr(args, "kernels", None):
-        from .sim import set_kernel_mode
-
-        set_kernel_mode(args.kernels)
     session = ObsSession(args.trace, profile=args.profile)
     with session:
         try:

@@ -28,7 +28,7 @@ from ..sim.executors import CellExecutor
 from ..sim.resilient import (
     RetryPolicy,
     _canon_key,
-    _open_journal,
+    _journal_at,
     run_cells,
     sweep_fingerprint,
 )
@@ -85,7 +85,6 @@ def selfheal_timeline(
     models,
     controller: ControllerConfig,
     *,
-    workers: int = 1,
     journal_path=None,
     policy: RetryPolicy | None = None,
     progress: ProgressFn | None = None,
@@ -100,11 +99,11 @@ def selfheal_timeline(
         controller: the repair policy; its :meth:`~ControllerConfig.spec`
             is hashed into the sweep fingerprint, so changing any threshold
             invalidates stale journals instead of silently mixing runs.
-        workers: process count when no ``executor`` is given.
         journal_path: JSONL checkpoint journal (resumable).
         policy: per-cell retry/timeout policy.
         progress: optional status callback.
         executor: run cells on this backend; stays open for the caller.
+            ``None`` runs them in-process.
 
     Returns:
         A :class:`SelfHealResult`.  Curves carry ``meta["alive_fraction"]``
@@ -124,7 +123,6 @@ def selfheal_timeline(
             "controller": controller.spec(),
         },
     )
-    journal = _open_journal(journal_path, fingerprint)
     controller_spec = controller.spec()
     jobs = [
         (
@@ -142,19 +140,15 @@ def selfheal_timeline(
         for arm in _ARMS
         for trial in range(timeline.trials)
     ]
-    try:
+    with _journal_at(journal_path, fingerprint) as journal:
         cells = run_cells(
             jobs,
             _selfheal_cell,
-            workers=workers,
             policy=policy,
             journal=journal,
             progress=progress,
             executor=executor,
         )
-    finally:
-        if journal is not None:
-            journal.close()
 
     num_times = len(timeline.times)
     curves = {arm: {"mean": [], "upper": []} for arm in _ARMS}

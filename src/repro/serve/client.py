@@ -104,14 +104,18 @@ class PlacementClient:
         enable_nodelay(self._sock)
         self._sock.settimeout(timeout)
         self._next_id = 0
-        send_frame(self._sock, _hello_frame())
         try:
-            welcome = self._recv()
-        except (ConnectionError, ProtocolError) as exc:
-            # A peer that slams the door on our hello may RST before the
-            # unread frame drains — still a handshake failure, not a crash.
-            raise PlacementServiceError(f"handshake failed: {exc}") from exc
-        self.welcome = _check_welcome(welcome)
+            send_frame(self._sock, _hello_frame())
+            try:
+                welcome = self._recv()
+            except (ConnectionError, ProtocolError) as exc:
+                # A peer that slams the door on our hello may RST before the
+                # unread frame drains — still a handshake failure, not a crash.
+                raise PlacementServiceError(f"handshake failed: {exc}") from exc
+            self.welcome = _check_welcome(welcome)
+        except BaseException:
+            self._sock.close()  # no caller holds a client to close
+            raise
 
     def _recv(self) -> dict | None:
         message, _ = recv_frame(self._sock)
@@ -184,12 +188,16 @@ class AsyncPlacementClient:
         if sock is not None:
             enable_nodelay(sock)
         client = cls(reader, writer)
-        await write_stream_frame(writer, _hello_frame())
         try:
-            welcome = await read_stream_frame(reader)
-        except (ConnectionError, ProtocolError) as exc:
-            raise PlacementServiceError(f"handshake failed: {exc}") from exc
-        client.welcome = _check_welcome(welcome)
+            await write_stream_frame(writer, _hello_frame())
+            try:
+                welcome = await read_stream_frame(reader)
+            except (ConnectionError, ProtocolError) as exc:
+                raise PlacementServiceError(f"handshake failed: {exc}") from exc
+            client.welcome = _check_welcome(welcome)
+        except BaseException:
+            writer.close()  # no caller holds a client to close
+            raise
         return client
 
     async def place(self, request: PlacementRequest) -> PlacementSolution:

@@ -12,12 +12,7 @@ from .executors import (
     spawn_context,
     validate_workers,
 )
-from .kernels import (
-    batch_surface_stats,
-    kernel_mode,
-    set_kernel_mode,
-    warm_worlds,
-)
+from .kernels import batch_surface_stats, warm_worlds
 from .incremental import (
     AddBeacon,
     FieldCache,
@@ -76,8 +71,6 @@ __all__ = [
     "scan_candidates",
     "build_world",
     "default_model_factory",
-    "kernel_mode",
-    "set_kernel_mode",
     "warm_worlds",
     "batch_surface_stats",
     "mean_error_curve",

@@ -7,8 +7,10 @@ via the ``emit`` callback it passes in.  That keeps journal + retry
 semantics identical across backends — an executor only decides *where* a
 cell runs and *how* its result travels back.
 
-Pool setup (``spawn_context``/``validate_workers``) lives here, in one
-place for every backend and sweep driver.
+Pool setup (``spawn_context``/``validate_workers``/:func:`make_executor`)
+lives here, in one place for every backend.  ``run_cells`` and the sweeps
+built on it never build a pool: they run in-process unless the caller
+hands them an executor.
 """
 
 from __future__ import annotations
@@ -176,7 +178,9 @@ def run_one_cell(fn: Callable, args, *, instrument: bool = False, thunk=None) ->
 #: A planner pre-computes a whole chunk in one vectorized pass (see
 #: :mod:`repro.sim.kernels`) and returns one zero-argument thunk per cell
 #: whose call yields the exact value ``fn(args)`` would return; ``None``
-#: entries mean "this cell could not be batched — run it scalar".
+#: entries mean "this cell could not be batched — run it scalar".  A
+#: function with no planner always runs scalar, which is how the tests
+#: get their per-world reference.
 _BATCH_PLANNERS: dict = {}
 
 
@@ -194,16 +198,11 @@ def batch_thunks(fn: Callable, args_list) -> "list | None":
     """Plan a chunk through ``fn``'s registered batch planner, if any.
 
     Returns one thunk-or-None per cell, or ``None`` when the chunk must run
-    fully scalar (no planner, scalar kernel mode, or the planner failed —
-    planner failures are contained here so batching is never the reason a
-    cell fails).
+    fully scalar (no planner, or the planner failed — planner failures are
+    contained here so batching is never the reason a cell fails).
     """
     planner = _BATCH_PLANNERS.get(fn)
     if planner is None or len(args_list) < 2:
-        return None
-    from ..kernels import kernel_mode
-
-    if kernel_mode() != "batch":
         return None
     metrics = get_metrics()
     try:
@@ -253,16 +252,13 @@ def merge_metric_snapshots(base: dict, extra: dict) -> dict:
 def dispatch_extras(shared=None) -> dict:
     """The extras dict shipped with pool payloads / socket welcomes.
 
-    Carries cross-process execution context: the parent's kernel mode (so
-    ``REPRO_KERNELS=scalar`` measurements cover workers too), the trace
+    Carries cross-process execution context: the trace
     context (trace id + the dispatching span's id) when the driver is
     tracing — the hook that lets worker spans stitch under the driver's
     tree — and, when the driver published one, the shared-memory
     world-state handle.
     """
-    from ..kernels import kernel_mode
-
-    extras: dict = {"kernels": kernel_mode()}
+    extras: dict = {}
     trace = current_trace_context()
     if trace is not None:
         extras["trace"] = trace
@@ -275,14 +271,6 @@ def apply_dispatch_extras(extras: dict | None) -> None:
     """Install chunk execution context on the worker side (idempotent)."""
     if not extras:
         return
-    mode = extras.get("kernels")
-    if mode:
-        from ..kernels import set_kernel_mode
-
-        try:
-            set_kernel_mode(mode)
-        except ValueError:
-            pass  # a newer parent's mode name; keep the local default
     trace = extras.get("trace")
     if trace:
         set_trace_context(trace.get("trace"), trace.get("parent"))

@@ -90,8 +90,34 @@ def _merge_remote_delta(metrics, delta) -> None:
         return
     try:
         metrics.merge(delta)
-    except (KeyError, TypeError, ValueError):
+    except (AttributeError, KeyError, TypeError, ValueError):
         metrics.counter("executor.socket.bad_deltas").inc()
+
+
+def _decode_outcome(text) -> dict:
+    """A worker's ``result`` outcome, decoded and checked before any use.
+
+    Raises:
+        ProtocolError: the outcome is undecodable or lacks a field the
+            execute loop reads.
+    """
+    try:
+        outcome = decode_payload(text)
+    except Exception as exc:  # noqa: BLE001 — unpickling can raise anything
+        raise ProtocolError(f"undecodable outcome ({exc!r})") from exc
+    if not isinstance(outcome, dict) or not isinstance(outcome.get("ok"), bool):
+        raise ProtocolError("outcome is not an outcome object")
+    if outcome["ok"]:
+        if "value" not in outcome or not isinstance(outcome.get("seconds"), (int, float)):
+            raise ProtocolError("successful outcome lacks its value or seconds")
+    elif not isinstance(outcome.get("error"), str):
+        raise ProtocolError("failed outcome lacks its error string")
+    span = outcome.get("span")
+    if not isinstance(outcome.get("worker") or {}, dict) or not (
+        span is None or isinstance(span, dict) and isinstance(span.get("attrs", {}), dict)
+    ):
+        raise ProtocolError("outcome worker or span is not an object")
+    return outcome
 
 
 class _Conn:
@@ -289,6 +315,17 @@ class SocketExecutor(CellExecutor):
                     )
             release(conn)
 
+        def drop(conn: _Conn, kind: str, exc: ProtocolError) -> None:
+            """Disconnect a worker that sent a malformed ``kind`` frame."""
+            metrics.counter("executor.socket.bad_frames").inc()
+            try:
+                # Unlike a bare close, wakes the receive thread and tells
+                # the worker it was dropped.
+                conn.sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            handle_gone(conn, f"malformed {kind} frame: {exc}")
+
         def handle(conn: _Conn, message: dict) -> None:
             kind = message.get("type")
             if kind == "hello":
@@ -331,7 +368,8 @@ class SocketExecutor(CellExecutor):
                 else:
                     ready.append(conn)
             elif kind == "result":
-                owner = working.get(message.get("batch"))
+                batch = message.get("batch")
+                owner = working.get(batch) if isinstance(batch, int) else None
                 if owner is not conn or owner is None:
                     return  # stale frame from a superseded session
                 index = message.get("index")
@@ -339,15 +377,19 @@ class SocketExecutor(CellExecutor):
                     return
                 if conn.done[index]:
                     return
+                try:
+                    outcome = _decode_outcome(message.get("outcome"))
+                except ProtocolError as exc:
+                    drop(conn, kind, exc)
+                    return
                 conn.done[index] = True
                 key, args, attempt = conn.cells[index]
-                outcome = decode_payload(message["outcome"])
                 live = get_live()
                 winfo = outcome.get("worker") or {}
                 if outcome["ok"]:
                     value = outcome["value"]
                     if instrument:
-                        metrics.merge(outcome["metrics"])
+                        _merge_remote_delta(metrics, outcome.get("metrics"))
                         span = outcome.get("span")
                         if span is not None:
                             span.setdefault("attrs", {}).update(
@@ -380,6 +422,11 @@ class SocketExecutor(CellExecutor):
                 # optional, so bare version-1 heartbeats still work.
                 _merge_remote_delta(metrics, message.get("metrics"))
                 status = message.get("status") or {}
+                if not isinstance(status, dict) or not isinstance(
+                    status.get("cells"), (int, type(None))
+                ):
+                    drop(conn, kind, ProtocolError("status is not a status object"))
+                    return
                 get_live().worker_seen(
                     conn.name,
                     current=status.get("current"),
@@ -392,11 +439,11 @@ class SocketExecutor(CellExecutor):
                 _merge_remote_delta(metrics, message.get("metrics"))
                 conn.sock.close()
 
-        def handle_gone(conn: _Conn, detail: str) -> None:
+        def handle_gone(conn: _Conn, cause: str = "worker process died") -> None:
             if conn in ready:
                 ready.remove(conn)
             if conn.batch_id is not None and conn.batch_id in working:
-                fail_batch(conn, "worker process died", "sweep.cells.worker_death")
+                fail_batch(conn, cause, "sweep.cells.worker_death")
             try:
                 conn.sock.close()
             except OSError:
@@ -431,7 +478,7 @@ class SocketExecutor(CellExecutor):
             if kind == "msg":
                 handle(conn, payload)
             else:
-                handle_gone(conn, payload)
+                handle_gone(conn)
             expire_deadlines()
 
         # Sweep complete: drain every idle worker so it can exit or rejoin

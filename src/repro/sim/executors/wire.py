@@ -11,8 +11,8 @@ type         dir    fields
 hello        w → s  ``protocol``, optional ``fingerprint``
 welcome      s → w  ``protocol``, ``fingerprint``, ``fn`` (module:qualname
                     reference), ``instrument``, ``heartbeat`` (seconds),
-                    optional ``extras`` (kernel mode, shm handle, trace
-                    context — see ``base.dispatch_extras``)
+                    optional ``extras`` (shm handle, trace context — see
+                    ``base.dispatch_extras``)
 reject       s → w  ``reason`` — protocol or fingerprint mismatch
 batch        s → w  ``id``, ``cells``: list of ``{"key": […], "args": …}``
 result       w → s  ``batch``, ``index``, ``outcome`` (one cell, streamed

@@ -26,13 +26,11 @@ masks and NaN-degraded cells.
 Worlds the kernels cannot express (non-centroid localizers, exotic
 propagation models) are silently left cold — downstream code computes them
 through the unchanged scalar path, so batching is never a correctness
-decision.  ``REPRO_KERNELS=scalar`` (or :func:`set_kernel_mode`) disables
-batching globally for A/B measurement.
+decision.  That scalar path is also the tests' reference: with no batch
+planner registered, cells run it world by world.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -49,8 +47,6 @@ from ..radio.kernels import batch_params_from_realization, batched_connectivity
 from .trial import TrialWorld
 
 __all__ = [
-    "kernel_mode",
-    "set_kernel_mode",
     "warm_worlds",
     "batch_surface_stats",
     "candidate_columns",
@@ -63,29 +59,6 @@ __all__ = [
 #: thousands.
 DEFAULT_BLOCK_ELEMENTS = 4_000_000
 
-_VALID_MODES = ("batch", "scalar")
-_mode = os.environ.get("REPRO_KERNELS", "batch")
-if _mode not in _VALID_MODES:
-    _mode = "batch"
-
-
-def kernel_mode() -> str:
-    """The active kernel mode: ``"batch"`` (default) or ``"scalar"``."""
-    return _mode
-
-
-def set_kernel_mode(mode: str) -> None:
-    """Select the kernel mode (propagated to workers via dispatch payloads).
-
-    Args:
-        mode: ``"batch"`` — vectorized kernels pre-warm world caches;
-            ``"scalar"`` — every cell runs the legacy per-world path.
-    """
-    global _mode
-    if mode not in _VALID_MODES:
-        raise ValueError(f"kernel mode must be one of {_VALID_MODES}, got {mode!r}")
-    _mode = mode
-
 
 def candidate_columns(realization, points, beacon_id, positions) -> np.ndarray:
     """``(P, K)`` connectivity columns of ``K`` candidate beacons, one pass.
@@ -97,16 +70,15 @@ def candidate_columns(realization, points, beacon_id, positions) -> np.ndarray:
     ``(seed, id)`` hash enters the per-link noise, never id uniqueness.
 
     Batchable realizations run one ``(1, P, K)`` kernel pass; other model
-    families (and ``REPRO_KERNELS=scalar``) take the scalar call, which
-    produces the identical bytes — the mode is a perf toggle, not a
-    correctness decision.  This is the survey-scan primitive behind
+    families take the scalar call, which produces the identical bytes.
+    This is the survey-scan primitive behind
     :meth:`repro.sim.incremental.FieldState.scan_add_candidates`.
     """
     pos = np.asarray(positions, dtype=float)
     if pos.ndim != 2 or pos.shape[1] != 2:
         raise ValueError(f"expected (K, 2) candidate positions, got {pos.shape}")
     params = batch_params_from_realization(realization)
-    if params is None or kernel_mode() == "scalar":
+    if params is None:
         probes = [
             Beacon(int(beacon_id), Point(float(x), float(y))) for x, y in pos
         ]

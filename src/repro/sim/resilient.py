@@ -38,6 +38,7 @@ by up to ``workers × timeout``).
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import hashlib
 import json
@@ -59,7 +60,7 @@ from ..obs import (
 )
 from ..placement import PlacementAlgorithm
 from .config import ExperimentConfig
-from .executors import CellExecutor, make_executor, register_batch_planner
+from .executors import CellExecutor, SerialExecutor, register_batch_planner
 from .executors.shm import publish_for_executor
 from .kernels import DEFAULT_BLOCK_ELEMENTS, batch_surface_stats, warm_worlds
 from .results import Curve, CurveSet
@@ -324,7 +325,6 @@ def run_cells(
     jobs: Sequence[tuple],
     fn: Callable,
     *,
-    workers: int = 1,
     policy: RetryPolicy | None = None,
     journal: SweepJournal | None = None,
     progress: ProgressFn | None = None,
@@ -341,15 +341,15 @@ def run_cells(
             str/int/float.
         fn: the cell function; must be picklable (module-level) for pool
             mode and importable by reference for socket workers.
-        workers: process count when no ``executor`` is given; ``1`` runs
-            in-process (no timeouts).
         policy: retry/timeout policy (default :class:`RetryPolicy`).
         journal: optional checkpoint journal.
         progress: optional callback for per-cell status lines.
-        executor: a :class:`~repro.sim.executors.CellExecutor` to run cells
-            on; overrides ``workers``.  The caller keeps ownership (it is
-            not closed here), so one executor — and its connected socket
-            workers — can serve several sweeps.
+        executor: the :class:`~repro.sim.executors.CellExecutor` to run
+            cells on; ``None`` runs them in-process on a
+            :class:`~repro.sim.executors.SerialExecutor` (no timeouts).  The
+            caller keeps ownership (it is not closed here), so one executor
+            — a warm pool, connected socket workers — can serve several
+            sweeps.
 
     Returns:
         ``{canonical key: value or None}`` for every job.
@@ -396,9 +396,8 @@ def run_cells(
             ok=ok, value=value, attempts=attempts, error=error,
         )
 
-    owned = executor is None
-    if owned:
-        executor = make_executor(workers=workers)
+    if executor is None:
+        executor = SerialExecutor()
     try:
         with get_tracer().span(
             "sweep.run_cells", cells=len(pending), executor=type(executor).__name__
@@ -409,8 +408,6 @@ def run_cells(
                 fingerprint=journal.fingerprint if journal is not None else None,
             )
     finally:
-        if owned:
-            executor.close()
         if live is not None:
             disable_live()
     return results
@@ -568,10 +565,14 @@ register_batch_planner(_mean_error_cell, _mean_error_cells_planner)
 register_batch_planner(_improvement_cell, _improvement_cells_planner)
 
 
-def _open_journal(journal_path, fingerprint) -> SweepJournal | None:
+@contextlib.contextmanager
+def _journal_at(journal_path, fingerprint):
+    """The journal at ``journal_path`` (``None`` for no path), closed on exit."""
     if journal_path is None:
-        return None
-    return SweepJournal.open(journal_path, fingerprint)
+        yield None
+        return
+    with SweepJournal.open(journal_path, fingerprint) as journal:
+        yield journal
 
 
 def _stable_describe(obj):
@@ -602,41 +603,31 @@ def _fault_extra(faults, fault_time) -> dict | None:
 
 def _run_sweep(
     fn, fingerprint, config, noise, tail, *,
-    workers, journal_path, policy, progress, executor,
+    journal_path, policy, progress, executor,
 ) -> list[list]:
     """Run one curve's ``(count, field)`` cells; values grouped by count.
 
     Cell ``(count, index)`` calls ``fn((config, noise, count, index,
-    *tail))``; a failed cell's value is ``None``.  The journal, an executor
-    built here from ``workers`` and the world state published on it are
-    released before returning; a caller's ``executor`` stays open.
+    *tail))``; a failed cell's value is ``None``.  The journal and the world
+    state published on ``executor`` are released before returning; the
+    executor itself stays open.
     """
     jobs = [
         ((noise, count, index), (config, noise, count, index, *tail))
         for count in config.beacon_counts
         for index in range(config.fields_per_density)
     ]
-    owned = None
-    if executor is None:
-        # Built here rather than in run_cells so a pool's shared world
-        # state is published before the first dispatch.
-        owned = executor = make_executor(workers=workers)
-    journal = shared = None
-    try:
-        journal = _open_journal(journal_path, fingerprint)
+    with _journal_at(journal_path, fingerprint) as journal:
         shared = publish_for_executor(executor, config, noises=[noise])
-        cells = run_cells(
-            jobs, fn,
-            policy=policy, journal=journal, progress=progress, executor=executor,
-        )
-    finally:
-        if shared is not None:
-            executor.shared_handle = None
-            shared.unlink()
-        if owned is not None:
-            owned.close()
-        if journal is not None:
-            journal.close()
+        try:
+            cells = run_cells(
+                jobs, fn,
+                policy=policy, journal=journal, progress=progress, executor=executor,
+            )
+        finally:
+            if shared is not None:
+                executor.shared_handle = None
+                shared.unlink()
     return [
         [
             cells[_canon_key((noise, count, index))]
@@ -650,7 +641,6 @@ def mean_error_curve(
     config: ExperimentConfig,
     noise: float,
     *,
-    workers: int = 1,
     journal_path=None,
     policy: RetryPolicy | None = None,
     label: str | None = None,
@@ -662,17 +652,14 @@ def mean_error_curve(
     """Mean localization error vs beacon density (Figures 4 and 6).
 
     Every ``(count, field)`` cell runs through :func:`run_cells` —
-    in-process by default, on ``executor`` or on a pool of ``workers``
-    processes otherwise — and the curve is identical on every backend.  A
-    journal makes the sweep resumable to the same curve; a cell that
-    exhausts ``policy`` degrades to NaN, and ``meta["failed_cells"]`` counts
-    such cells.
+    in-process by default, on ``executor`` otherwise — and the curve is
+    identical on every backend.  A journal makes the sweep resumable to the
+    same curve; a cell that exhausts ``policy`` degrades to NaN, and
+    ``meta["failed_cells"]`` counts such cells.
 
     Args:
         config: experiment parameters (counts, replications, seed …).
         noise: the model's noise level for every cell.
-        workers: process count when no ``executor`` is given (``1`` =
-            in-process).
         journal_path: JSONL checkpoint path (next to your CSV output);
             ``None`` disables checkpointing.
         policy: per-cell retry/timeout policy.
@@ -683,7 +670,8 @@ def mean_error_curve(
         progress: optional status callback: one line per beacon count, plus
             resume and failure notices.
         executor: run cells on this backend (see :mod:`repro.sim.executors`);
-            it stays open for the caller to reuse.
+            it stays open for the caller to reuse.  ``None`` runs them
+            in-process.
     """
     if label is None:
         label = "Ideal" if noise == 0.0 else f"Noise={noise:g}"
@@ -691,7 +679,7 @@ def mean_error_curve(
         _mean_error_cell,
         sweep_fingerprint("mean-error", config, _fault_extra(faults, fault_time)),
         config, noise, (faults, fault_time),
-        workers=workers, journal_path=journal_path, policy=policy,
+        journal_path=journal_path, policy=policy,
         progress=progress, executor=executor,
     )
     samples_per_count = []
@@ -716,7 +704,6 @@ def placement_improvement_curves(
     noise: float,
     algorithms: Sequence[PlacementAlgorithm],
     *,
-    workers: int = 1,
     journal_path=None,
     policy: RetryPolicy | None = None,
     faults=None,
@@ -747,7 +734,7 @@ def placement_improvement_curves(
             {"algorithms": names, **(_fault_extra(faults, fault_time) or {})},
         ),
         config, noise, (faults, fault_time, tuple(algorithms)),
-        workers=workers, journal_path=journal_path, policy=policy,
+        journal_path=journal_path, policy=policy,
         progress=progress, executor=executor,
     )
     mean_samples = {n: [] for n in names}

@@ -56,7 +56,7 @@ from .executors.cache import (
 from .resilient import (
     RetryPolicy,
     _canon_key,
-    _open_journal,
+    _journal_at,
     run_cells,
     sweep_fingerprint,
 )
@@ -185,7 +185,6 @@ def fault_error_timeline(
     timeline: TimelineConfig,
     models,
     *,
-    workers: int = 1,
     journal_path=None,
     policy: RetryPolicy | None = None,
     progress: ProgressFn | None = None,
@@ -203,13 +202,13 @@ def fault_error_timeline(
         timeline: the time axis and trial parameters.
         models: ``{name: FaultModel}`` mapping or ``(name, model)`` pairs;
             names label the curves and key the cells.
-        workers: process count when no ``executor`` is given.
         journal_path: JSONL checkpoint journal; an interrupted sweep
             resumes from it without recomputing finished cells.
         policy: per-cell retry/timeout policy.
         progress: optional status callback.
         executor: run cells on this backend (see :mod:`repro.sim.executors`);
-            stays open for the caller to reuse.
+            stays open for the caller to reuse.  ``None`` runs them
+            in-process.
 
     Returns:
         ``(mean_set, upper_set)`` — two :class:`CurveSet` s over the time
@@ -228,7 +227,6 @@ def fault_error_timeline(
             "models": [[name, specs[name]] for name, _ in pairs],
         },
     )
-    journal = _open_journal(journal_path, fingerprint)
     jobs = [
         (
             (name, trial, time_index),
@@ -238,19 +236,15 @@ def fault_error_timeline(
         for trial in range(timeline.trials)
         for time_index in range(len(timeline.times))
     ]
-    try:
+    with _journal_at(journal_path, fingerprint) as journal:
         cells = run_cells(
             jobs,
             _timeline_cell,
-            workers=workers,
             policy=policy,
             journal=journal,
             progress=progress,
             executor=executor,
         )
-    finally:
-        if journal is not None:
-            journal.close()
 
     num_times = len(timeline.times)
     mean_curves, upper_curves = [], []

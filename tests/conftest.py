@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import warnings
 
 import numpy as np
@@ -17,6 +18,7 @@ from repro import (
     TrialWorld,
     random_uniform_field,
 )
+from repro.sim.executors.base import _BATCH_PLANNERS
 
 SIDE = 60.0
 RANGE = 12.0
@@ -27,19 +29,43 @@ STEP = 3.0
 def _suppress_oversubscription_warning():
     """Keep the suite warning-clean on small runners.
 
-    Sweep tests exercise ``workers=2`` for real parallel coverage; on a
-    1-CPU runner :func:`repro.sim.validate_workers` legitimately warns that
-    this oversubscribes the host.  The warning is the subject under test
-    only in ``test_oversubscription_warns_but_allows`` — whose
-    ``pytest.warns`` installs its own always-record context inside this
-    filter and is unaffected — everywhere else it is environment noise, so
-    it must not fail a ``-W error::RuntimeWarning`` run.
+    Sweep tests build two-worker pools through ``make_executor`` and the
+    CLI's ``--workers 2`` for real parallel coverage; on a 1-CPU runner
+    :func:`repro.sim.validate_workers` legitimately warns that this
+    oversubscribes the host.  The warning is the subject under test only in
+    ``test_oversubscription_warns_but_allows`` — whose ``pytest.warns``
+    installs its own always-record context inside this filter and is
+    unaffected — everywhere else it is environment noise, so it must not
+    fail a ``-W error::RuntimeWarning`` run.
     """
     with warnings.catch_warnings():
         warnings.filterwarnings(
             "ignore", message=r".*oversubscribes this host.*", category=RuntimeWarning
         )
         yield
+
+
+@pytest.fixture
+def scalar_cells():
+    """A context manager under which in-process cells run the scalar path.
+
+    Inside ``with scalar_cells():`` the batch-planner registry is empty, so
+    a :class:`~repro.sim.SerialExecutor` plans nothing and every cell
+    evaluates its own world through the per-world ``TrialWorld`` code — the
+    reference the batched kernels must match bit for bit.  The planners
+    are restored on exit; spawned pool workers keep their own registry.
+    """
+
+    @contextlib.contextmanager
+    def scope():
+        saved = dict(_BATCH_PLANNERS)
+        _BATCH_PLANNERS.clear()
+        try:
+            yield
+        finally:
+            _BATCH_PLANNERS.update(saved)
+
+    return scope
 
 
 @pytest.fixture

@@ -184,6 +184,33 @@ class TestCommands:
         assert main(argv) == 0
         assert capsys.readouterr().out == first
 
+    def test_workers_run_every_fig6_panel_on_one_pool(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """``--workers 2`` builds one pool for the command, which all four
+        noise panels share, and the figure matches the in-process one."""
+        from repro.sim import PoolExecutor
+
+        built = []
+        real_init = PoolExecutor.__init__
+
+        def recording_init(self, *args, **kwargs):
+            built.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PoolExecutor, "__init__", recording_init)
+        argv = ["--fields", "1", "--counts", "8", "reproduce", "fig6"]
+        assert main(["--csv", str(tmp_path / "inproc.csv"), *argv]) == 0
+        assert built == []
+        assert main(
+            ["--csv", str(tmp_path / "pooled.csv"), "--workers", "2", *argv]
+        ) == 0
+        assert len(built) == 1
+        assert built[0]._pool is None  # closed when the command returned
+        assert (tmp_path / "pooled.csv").read_bytes() == (
+            tmp_path / "inproc.csv"
+        ).read_bytes()
+
     def test_greedyk_closes_its_journal(self, capsys, tmp_path, monkeypatch):
         """Like every library sweep driver, greedy-k leaves no journal handle
         open once the command returns."""

@@ -33,7 +33,13 @@ from repro.obs import (
     summarize_run_dir,
     summarize_spans,
 )
-from repro.sim import RetryPolicy, SweepJournal, mean_error_curve, run_cells
+from repro.sim import (
+    PoolExecutor,
+    RetryPolicy,
+    SweepJournal,
+    mean_error_curve,
+    run_cells,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -222,12 +228,13 @@ class TestWorkerMerge:
         """Per-worker registries merge into the parent across a spawn pool."""
         registry = enable_metrics()
         jobs = [((i,), i) for i in range(4)]
-        results = run_cells(
-            jobs,
-            _count_and_double,
-            workers=2,
-            policy=RetryPolicy(max_attempts=1, timeout=60.0, backoff=0.0),
-        )
+        with PoolExecutor(workers=2) as pool:
+            results = run_cells(
+                jobs,
+                _count_and_double,
+                policy=RetryPolicy(max_attempts=1, timeout=60.0, backoff=0.0),
+                executor=pool,
+            )
         assert results == {(i,): i * 2 for i in range(4)}
         assert registry.counter("test.calls").value == 4
         assert registry.histogram("sweep.cell.seconds").count == 4
@@ -264,13 +271,14 @@ class TestPoolRebuildSurfacing:
         registry = enable_metrics()
         marker = tmp_path / "attempted"
         messages = []
-        results = run_cells(
-            [(("die",), "die"), (("ok",), (5, str(marker)))],
-            _die_or_wait,
-            workers=2,
-            policy=RetryPolicy(max_attempts=2, timeout=60.0, backoff=0.0),
-            progress=messages.append,
-        )
+        with PoolExecutor(workers=2) as pool:
+            results = run_cells(
+                [(("die",), "die"), (("ok",), (5, str(marker)))],
+                _die_or_wait,
+                policy=RetryPolicy(max_attempts=2, timeout=60.0, backoff=0.0),
+                progress=messages.append,
+                executor=pool,
+            )
         assert results[("die",)] is None
         assert results[("ok",)] == 15
         assert registry.counter("sweep.pool.rebuilds").value >= 1

@@ -319,6 +319,54 @@ class TestService:
             listener.close()
             thread.join(5)
 
+    def test_rejected_handshake_closes_client_sockets(self, monkeypatch):
+        """Neither client leaves its connection open when the handshake
+        fails: the caller never receives a client it could close."""
+        import socket as socket_mod
+
+        listener = socket_mod.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(2)
+
+        def reject_twice():
+            for _ in range(2):
+                conn, _ = listener.accept()
+                with conn:
+                    recv_frame(conn)
+                    send_frame(conn, {"type": "reject", "reason": "full"})
+
+        thread = threading.Thread(target=reject_twice, daemon=True)
+        thread.start()
+        sockets, writers = [], []
+        real_connect = socket_mod.create_connection
+        real_open = asyncio.open_connection
+
+        def recording_connect(*args, **kwargs):
+            sockets.append(real_connect(*args, **kwargs))
+            return sockets[-1]
+
+        async def recording_open(*args, **kwargs):
+            reader, writer = await real_open(*args, **kwargs)
+            writers.append(writer)
+            return reader, writer
+
+        monkeypatch.setattr(socket_mod, "create_connection", recording_connect)
+        monkeypatch.setattr(asyncio, "open_connection", recording_open)
+
+        async def async_attempt():
+            with pytest.raises(PlacementServiceError, match="rejected"):
+                await AsyncPlacementClient.connect(listener.getsockname())
+            return writers[0].is_closing()
+
+        try:
+            with pytest.raises(PlacementServiceError, match="rejected"):
+                PlacementClient(listener.getsockname(), retry_for=1.0)
+            assert sockets[0].fileno() == -1
+            assert asyncio.run(async_attempt())
+        finally:
+            listener.close()
+            thread.join(5)
+
     def test_max_requests_stops_server(self):
         harness = ServerHarness(cache_capacity=4, heartbeat=5.0, max_requests=2)
         try:

@@ -315,11 +315,9 @@ class TestFactory:
         with pytest.raises(ValueError, match="unknown executor"):
             make_executor("telepathy")
 
-    def test_rejects_bad_workers(self, tiny_config):
+    def test_rejects_bad_workers(self):
         with pytest.raises(ValueError, match="workers"):
             make_executor(workers=0)
-        with pytest.raises(ValueError, match="workers"):
-            mean_error_curve(tiny_config, 0.0, workers=0)
 
     def test_oversubscription_warns_but_allows(self):
         too_many = (os.cpu_count() or 1) + 1
@@ -566,6 +564,85 @@ class TestSocketExecutor:
         assert registry.counter("sweep.cells.worker_death").value == 1
         assert registry.counter("sweep.cells.requeued_innocent").value == 4
 
+    @pytest.mark.parametrize(
+        "frame, dropped",
+        [
+            ({"type": "result", "index": 0}, True),
+            ({"type": "result", "index": 0, "outcome": "not base64!"}, True),
+            ({"type": "result", "index": 0, "outcome": encode_payload([1, 2])}, True),
+            ({"type": "result", "index": 0, "batch": [1]}, False),
+            ({"type": "heartbeat", "status": [1, 2]}, True),
+            ({"type": "heartbeat", "metrics": [1, 2]}, False),
+        ],
+        ids=[
+            "result-without-outcome",
+            "outcome-not-base64",
+            "outcome-not-an-outcome",
+            "unhashable-batch-id",
+            "status-not-an-object",
+            "metrics-not-an-object",
+        ],
+    )
+    def test_malformed_worker_frame_stays_with_that_worker(self, frame, dropped):
+        """One worker's bad frame never escapes the sweep.  A malformed field
+        drops that worker like a lost one: its running cell is charged and
+        the batch finishes on the next worker.  A stale batch id is ignored
+        and a bad metrics delta only counted, as before."""
+        jobs = [((i,), i) for i in range(4)]
+        registry = MetricsRegistry()
+        enable_metrics(registry)
+        claimed = threading.Event()
+        seen = {}
+
+        def bad_worker(host, port):
+            sock = socket_mod.create_connection((host, port), timeout=10.0)
+            try:
+                send_frame(sock, {"type": "hello", "protocol": PROTOCOL_VERSION})
+                recv_frame(sock)  # welcome
+                batch, _ = recv_frame(sock)
+                claimed.set()
+                send_frame(sock, {"batch": batch["id"], **frame})
+                if dropped:
+                    seen["after"] = recv_frame(sock)
+            finally:
+                sock.close()
+
+        try:
+            with SocketExecutor(chunk=8) as executor:
+                bad = threading.Thread(
+                    target=bad_worker, args=executor.address, daemon=True
+                )
+                bad.start()
+                relief = {}
+
+                def send_relief():
+                    claimed.wait(timeout=30.0)
+                    worker = _WorkerThread(executor.address, connect_timeout=10.0)
+                    worker.start()
+                    relief["worker"] = worker
+
+                relief_thread = threading.Thread(target=send_relief, daemon=True)
+                relief_thread.start()
+                results = run_cells(
+                    jobs,
+                    _double,
+                    executor=executor,
+                    policy=RetryPolicy(max_attempts=2, backoff=0.0),
+                )
+            relief_thread.join(timeout=30.0)
+            relief["worker"].join(timeout=15.0)
+            bad.join(timeout=15.0)
+        finally:
+            disable_metrics()
+        assert results == {(i,): i * 2 for i in range(4)}
+        assert relief["worker"].error is None
+        assert registry.counter("sweep.cells.worker_death").value == 1
+        assert registry.counter("executor.socket.bad_frames").value == int(dropped)
+        if dropped:
+            assert seen["after"] == (None, 0)  # the executor hung up on it
+        if "metrics" in frame:
+            assert registry.counter("executor.socket.bad_deltas").value == 1
+
 
 class TestBackendsBitIdentical:
     def test_mean_error_curve_identical_across_backends(self, tiny_config):
@@ -631,7 +708,10 @@ class TestBackendsBitIdentical:
         config = tiny_config.with_counts([8, 20])
         algorithms = [RandomPlacement(), MaxPlacement()]
         serial_sets = placement_improvement_curves(config, 0.0, algorithms)
-        pool_sets = placement_improvement_curves(config, 0.0, algorithms, workers=2)
+        with PoolExecutor(workers=2) as pool:
+            pool_sets = placement_improvement_curves(
+                config, 0.0, algorithms, executor=pool
+            )
         for got_set, want_set in zip(pool_sets, serial_sets):
             for got, want in zip(got_set.curves, want_set.curves):
                 assert got.values == want.values
@@ -650,8 +730,8 @@ class TestBackendsBitIdentical:
         assert resilient_placement_improvement_curves is placement_improvement_curves
 
     def test_run_cells_span_names_executor(self, tiny_config, tmp_path):
-        """The span records the backend the cells ran on, whatever the
-        (unused) ``workers`` default says."""
+        """The span records the backend the cells ran on, not a worker
+        count."""
         enable_tracing(tmp_path / "trace.jsonl")
         try:
             with PoolExecutor(workers=2, chunk=2) as pool:
@@ -665,6 +745,21 @@ class TestBackendsBitIdentical:
             "PoolExecutor", "SerialExecutor",
         ]
         assert all("workers" not in s["attrs"] for s in spans)
+
+
+class TestParallelMeanError:
+    def test_two_workers_match_serial(self, tiny_config):
+        """Determinism survives a spawn pool: named streams, no shared
+        state."""
+        serial = mean_error_curve(tiny_config, 0.0)
+        with PoolExecutor(workers=2) as pool:
+            pooled = mean_error_curve(tiny_config, 0.0, executor=pool)
+        assert pooled.label == serial.label
+        assert pooled.values == serial.values
+        assert pooled.ci_half_widths == serial.ci_half_widths
+
+    def test_label_default(self, tiny_config):
+        assert mean_error_curve(tiny_config, 0.0).label == "Ideal"
 
 
 # -- World-component cache ---------------------------------------------------

@@ -16,9 +16,12 @@ import numpy as np
 import pytest
 
 from repro import CentroidLocalizer, ExperimentConfig, TrialWorld, UnlocalizedPolicy
+from repro.field import Beacon
+from repro.geometry import Point
 from repro.localization import WeightedCentroidLocalizer
 from repro.obs import MetricsRegistry, disable_metrics, enable_metrics
-from repro.sim import build_world, run_cells, set_kernel_mode
+from repro.radio.kernels import batch_params_from_realization
+from repro.sim import PoolExecutor, build_world, run_cells
 from repro.sim.incremental import (
     AddBeacon,
     FieldCache,
@@ -31,6 +34,7 @@ from repro.sim.incremental import (
     field_fingerprint,
     scan_candidates,
 )
+from repro.sim.kernels import candidate_columns
 
 SIDE = 30.0
 RANGE = 10.0
@@ -66,13 +70,6 @@ def metrics():
     enable_metrics(registry)
     yield registry
     disable_metrics()
-
-
-@pytest.fixture(autouse=True)
-def _batch_mode():
-    set_kernel_mode("batch")
-    yield
-    set_kernel_mode("batch")
 
 
 # A delta script that exercises every delta kind, including removal of a
@@ -205,13 +202,20 @@ class TestPeekAndScan:
         )
         assert_bits_equal(means, peek)
 
-    def test_scan_batch_matches_scalar_kernels(self):
-        world = build_world(tiny_config(), 0.3, 8, 0)
-        candidates = world.points()[::4]
-        batch = FieldState.from_world(world).scan_add_candidates(candidates)
-        set_kernel_mode("scalar")
-        scalar = FieldState.from_world(world).scan_add_candidates(candidates)
-        assert_bits_equal(batch, scalar)
+    @pytest.mark.parametrize("noise", [0.0, 0.3])
+    def test_candidate_columns_match_scalar_connectivity(self, noise):
+        """The one-pass probe kernel against one scalar probe per candidate,
+        all under the id the next added beacon would receive."""
+        world = build_world(tiny_config(), noise, 8, 0)
+        assert batch_params_from_realization(world.realization) is not None
+        points = world.points()
+        candidates = points[::4]
+        next_id = world.field.next_beacon_id
+        probes = [Beacon(next_id, Point(float(x), float(y))) for x, y in candidates]
+        assert_bits_equal(
+            candidate_columns(world.realization, points, next_id, candidates),
+            world.realization.connectivity(points, probes),
+        )
 
     def test_scan_candidates_accepts_trialworld(self):
         world = build_world(tiny_config(), 0.0, 6, 0)
@@ -362,8 +366,9 @@ class TestSpawnPoolIsolation:
                 (("gk", 0.0, 6, i, 1, 4), (config, 0.0, 6, i, 1, 4))
                 for i in range(2)
             ]
-            serial = run_cells(jobs, _greedyk_cell, workers=1)
-            pooled = run_cells(jobs, _greedyk_cell, workers=2)
+            serial = run_cells(jobs, _greedyk_cell)
+            with PoolExecutor(workers=2) as pool:
+                pooled = run_cells(jobs, _greedyk_cell, executor=pool)
             assert serial == pooled
             # Cells ran in spawn workers with their own process-local caches:
             # the driver-side default cache is exactly as we left it.

@@ -27,12 +27,10 @@ from repro.sim import (
     SerialExecutor,
     batch_surface_stats,
     build_world,
-    kernel_mode,
     mean_error_curve,
     placement_improvement_curves,
     resilient_mean_error_curve,
     resilient_placement_improvement_curves,
-    set_kernel_mode,
     warm_worlds,
 )
 from repro.sim import resilient as resilient_mod
@@ -90,14 +88,6 @@ def metrics():
     enable_metrics(registry)
     yield registry
     disable_metrics()
-
-
-@pytest.fixture(autouse=True)
-def _batch_mode():
-    """Every test starts (and leaves the process) in the default mode."""
-    set_kernel_mode("batch")
-    yield
-    set_kernel_mode("batch")
 
 
 # -- Numerical identities the kernels are built on ---------------------------
@@ -262,11 +252,6 @@ class TestEligibility:
         assert warm_worlds([world]) == 0
         assert world._conn is None and world._errors is None
 
-    def test_kernel_mode_validation(self):
-        with pytest.raises(ValueError, match="kernel mode"):
-            set_kernel_mode("turbo")
-        assert kernel_mode() == "batch"
-
 
 # -- The batch-planner contract ----------------------------------------------
 
@@ -308,11 +293,6 @@ class TestBatchPlannerContract:
         register_batch_planner(_square, _square_planner)
         assert batch_thunks(_square, [2]) is None
 
-    def test_scalar_mode_disables_planning(self):
-        register_batch_planner(_square, _square_planner)
-        set_kernel_mode("scalar")
-        assert batch_thunks(_square, [2, 3]) is None
-
     def test_planner_exception_degrades_to_scalar(self, metrics):
         register_batch_planner(_square, _raising_planner)
         assert batch_thunks(_square, [2, 3]) is None
@@ -342,49 +322,48 @@ class TestBatchPlannerContract:
 
 
 class TestSweepBatchIdentity:
-    def test_serial_mean_error_curve_bit_identical(self):
+    def test_serial_mean_error_curve_bit_identical(self, scalar_cells):
         config = tiny_config()
         batched = resilient_mean_error_curve(config, 0.3)
-        set_kernel_mode("scalar")
-        scalar = resilient_mean_error_curve(config, 0.3)
+        with scalar_cells():
+            scalar = resilient_mean_error_curve(config, 0.3)
         assert_bits_equal(batched.values, scalar.values)
         assert_bits_equal(batched.ci_half_widths, scalar.ci_half_widths)
 
-    def test_serial_improvement_curves_bit_identical(self):
+    def test_serial_improvement_curves_bit_identical(self, scalar_cells):
         config = tiny_config(beacon_counts=(8,))
         algorithms = [RandomPlacement(), MaxPlacement()]
         batched_mean, batched_median = resilient_placement_improvement_curves(
             config, 0.0, algorithms
         )
-        set_kernel_mode("scalar")
-        scalar_mean, scalar_median = resilient_placement_improvement_curves(
-            config, 0.0, algorithms
-        )
+        with scalar_cells():
+            scalar_mean, scalar_median = resilient_placement_improvement_curves(
+                config, 0.0, algorithms
+            )
         for b_set, s_set in ((batched_mean, scalar_mean), (batched_median, scalar_median)):
             for b, s in zip(b_set.curves, s_set.curves):
                 assert b.label == s.label
                 assert_bits_equal(b.values, s.values)
                 assert_bits_equal(b.ci_half_widths, s.ci_half_widths)
 
-    def test_pool_with_shared_state_matches_serial_scalar(self):
+    def test_pool_with_shared_state_matches_serial_scalar(self, scalar_cells):
         """End to end: pool workers attach the shm segment, plan batches, and
         still reproduce the scalar serial curve bit for bit."""
         config = tiny_config()
-        set_kernel_mode("scalar")
-        reference = resilient_mean_error_curve(config, 0.3)
-        set_kernel_mode("batch")
+        with scalar_cells():
+            reference = resilient_mean_error_curve(config, 0.3)
         executor = PoolExecutor(workers=2, chunk=4)
         try:
-            curve = resilient_mean_error_curve(
-                config, 0.3, workers=2, executor=executor
-            )
+            curve = resilient_mean_error_curve(config, 0.3, executor=executor)
         finally:
             executor.close()
         assert executor.shared_handle is None  # driver reset it after unlink
         assert_bits_equal(curve.values, reference.values)
         assert_bits_equal(curve.ci_half_widths, reference.ci_half_widths)
 
-    def test_serial_improvement_sweep_warms_one_sub_block_at_a_time(self, monkeypatch):
+    def test_serial_improvement_sweep_warms_one_sub_block_at_a_time(
+        self, monkeypatch, scalar_cells
+    ):
         """A serial block of improvement cells is warmed lazily in sub-blocks
         of one beacon count and about ``DEFAULT_BLOCK_ELEMENTS`` links:
         whenever one is warmed, every world warmed before it has already run
@@ -420,14 +399,14 @@ class TestSweepBatchIdentity:
         assert all(links < bound + points * 8 for _, links, _ in warm_calls)
         assert all(len(counts) == 1 for _, _, counts in warm_calls)
         assert not waiting
-        set_kernel_mode("scalar")
-        scalar = placement_improvement_curves(config, 0.0, algorithms)
+        with scalar_cells():
+            scalar = placement_improvement_curves(config, 0.0, algorithms)
         for b_set, s_set in zip(batched, scalar):
             for b, s in zip(b_set.curves, s_set.curves):
                 assert_bits_equal(b.values, s.values)
                 assert_bits_equal(b.ci_half_widths, s.ci_half_widths)
 
-    def test_mean_error_blocks_never_span_two_counts(self, monkeypatch):
+    def test_mean_error_blocks_never_span_two_counts(self, monkeypatch, scalar_cells):
         """Worlds of different beacon counts never share a kernel pass, so a
         block closes where the count changes instead of holding one count's
         warmed worlds through the next count's pass."""
@@ -442,8 +421,10 @@ class TestSweepBatchIdentity:
         monkeypatch.setattr(resilient_mod, "warm_worlds", recording_warm)
         batched = mean_error_curve(config, 0.3, executor=SerialExecutor())
         assert counts_per_pass == [{4}, {8}]
-        set_kernel_mode("scalar")
-        assert_bits_equal(batched.values, mean_error_curve(config, 0.3).values)
+        with scalar_cells():
+            scalar = mean_error_curve(config, 0.3)
+        assert counts_per_pass == [{4}, {8}]
+        assert_bits_equal(batched.values, scalar.values)
 
 
 # -- Shared-memory world state ------------------------------------------------

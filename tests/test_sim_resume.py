@@ -12,6 +12,7 @@ import pytest
 
 from repro.placement import MaxPlacement, RandomPlacement
 from repro.sim import (
+    PoolExecutor,
     RetryPolicy,
     SweepJournal,
     mean_error_curve,
@@ -248,24 +249,25 @@ class TestPoolResilience:
         # counts against the first result's budget on a loaded host.
         # max_attempts=2 gives the healthy cell a second chance if start-up
         # ate its first window; the stalled cell times out both times.
-        results = run_cells(
-            [(("a",), 1), (("stall",), "stall")],
-            _sleepy_cell,
-            workers=2,
-            policy=RetryPolicy(max_attempts=2, timeout=15.0, backoff=0.0),
-        )
+        with PoolExecutor(workers=2) as pool:
+            results = run_cells(
+                [(("a",), 1), (("stall",), "stall")],
+                _sleepy_cell,
+                policy=RetryPolicy(max_attempts=2, timeout=15.0, backoff=0.0),
+                executor=pool,
+            )
         assert results[("a",)] == 2
         assert results[("stall",)] is None
 
     def test_dead_worker_degrades_cell_and_pool_recovers(self):
-        # workers=2 forces the pool path (workers<=1 runs in-process, where
-        # an os._exit cell would kill the test run itself).
-        results = run_cells(
-            [(("die",), "die"), (("b",), 3)],
-            _sleepy_cell,
-            workers=2,
-            policy=RetryPolicy(max_attempts=2, timeout=30.0, backoff=0.0),
-        )
+        # On a pool: in-process, an os._exit cell would kill the test run.
+        with PoolExecutor(workers=2) as pool:
+            results = run_cells(
+                [(("die",), "die"), (("b",), 3)],
+                _sleepy_cell,
+                policy=RetryPolicy(max_attempts=2, timeout=30.0, backoff=0.0),
+                executor=pool,
+            )
         # The dying cell burns its attempts and degrades; the innocent
         # sibling survives the rebuilt pool.
         assert results[("die",)] is None
