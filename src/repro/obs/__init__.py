@@ -10,8 +10,8 @@ pipeline stays byte-identical and within a <3% overhead budget
   numbers back to the sweep parent;
 * :mod:`repro.obs.trace` — span tracing to append-only JSONL, same
   conventions as the sweep journal (flushed lines, tolerated partial tail);
-* :mod:`repro.obs.profiling` — opt-in cProfile + per-stage wall-clock
-  breakdown behind the CLI's ``--profile``.
+* :mod:`repro.obs.profiling` — opt-in cProfile behind the CLI's
+  ``--profile``, beside a stage table summed from the command's spans.
 
 :class:`ObsSession` bundles them for the CLI: ``--trace DIR`` routes spans
 to ``DIR/trace.jsonl`` and the final metrics snapshot to
@@ -21,6 +21,7 @@ to ``DIR/trace.jsonl`` and the final metrics snapshot to
 
 from __future__ import annotations
 
+import tempfile
 from pathlib import Path
 
 from .live import (
@@ -46,16 +47,10 @@ from .metrics import (
     disable_metrics,
     enable_metrics,
     get_metrics,
-    instrumented_call,
     metrics_enabled,
     snapshot_to_prometheus,
 )
-from .profiling import (
-    ProfileSession,
-    disable_profiling,
-    enable_profiling,
-    get_profile,
-)
+from .profiling import ProfileSession
 from .summary import (
     JournalMergeStats,
     JournalSummary,
@@ -83,6 +78,7 @@ from .trace import (
     enable_tracing,
     get_tracer,
     process_metadata,
+    read_jsonl,
     read_trace,
     set_trace_context,
     set_worker_id,
@@ -101,18 +97,15 @@ __all__ = [
     "enable_metrics",
     "disable_metrics",
     "metrics_enabled",
-    "instrumented_call",
     "Tracer",
     "NULL_TRACER",
     "get_tracer",
     "enable_tracing",
     "disable_tracing",
     "tracing_enabled",
+    "read_jsonl",
     "read_trace",
     "ProfileSession",
-    "get_profile",
-    "enable_profiling",
-    "disable_profiling",
     "LiveStatus",
     "NULL_LIVE",
     "STATUS_FILENAME",
@@ -162,9 +155,10 @@ class ObsSession:
         run_dir: directory for artifacts (``trace.jsonl``,
             ``metrics.json``, and ``profile.txt`` under ``--profile``);
             created on demand.  ``None`` keeps trace/metrics off unless
-            profiling alone is requested.
-        profile: capture a :class:`ProfileSession` and render the
-            per-stage breakdown (available as :attr:`profile_report`).
+            profiling alone is requested (spans then go to a temporary
+            directory, removed at exit).
+        profile: capture a :class:`ProfileSession` and render it with
+            this session's spans (available as :attr:`profile_report`).
     """
 
     def __init__(self, run_dir=None, *, profile: bool = False):
@@ -184,24 +178,35 @@ class ObsSession:
         enable_metrics()
         if self.run_dir is not None:
             self.run_dir.mkdir(parents=True, exist_ok=True)
-            enable_tracing(self.run_dir / TRACE_FILENAME)
+            trace_dir = self.run_dir
+        else:
+            self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-profile-")
+            trace_dir = Path(self._tmpdir.name)
+        self._tracer = enable_tracing(trace_dir / TRACE_FILENAME)
         if self.profile:
-            self._session = enable_profiling()
+            self._session = ProfileSession()
+            self._session.start()
         return self
 
     def __exit__(self, *exc) -> None:
         if not self.active:
             return
         if self._session is not None:
-            disable_profiling()
-            self.profile_report = self._session.render()
+            self._session.stop()
         snapshot = get_metrics().snapshot()
-        if self.run_dir is not None:
+        disable_tracing()
+        disable_metrics()
+        if self._session is not None:
+            # An appended trace file also holds earlier sessions' spans.
+            _, records = read_trace(self._tracer.path)
+            mine = [r for r in records if r.get("trace") == self._tracer.trace_id]
+            self.profile_report = self._session.render(summarize_spans(mine))
+        if self.run_dir is None:
+            self._tmpdir.cleanup()
+        else:
             # Atomic so a live `top`/`status --prom` never reads a torn file.
             write_json_atomic(self.run_dir / METRICS_FILENAME, snapshot)
             if self.profile_report is not None:
                 write_text_atomic(
                     self.run_dir / PROFILE_FILENAME, self.profile_report + "\n"
                 )
-        disable_tracing()
-        disable_metrics()

@@ -17,8 +17,9 @@ Two registries exist at any time conceptually:
   fetches the current one via :func:`get_metrics`.
 
 Worker processes cannot share the parent's registry (sweeps use ``spawn``
-pools), so registries support a snapshot/merge protocol: a worker wraps its
-cell in :func:`instrumented_call`, ships back a picklable plain-dict
+pools), so registries support a snapshot/merge protocol: a worker runs its
+cell under a private registry (:func:`repro.sim.executors.base.run_one_cell`
+with ``instrument``), ships back a picklable plain-dict
 :func:`MetricsRegistry.snapshot`, and the parent folds it in with
 :func:`MetricsRegistry.merge`.  Merge is associative and commutative
 (counters and histogram fields add, gauges take the max), so aggregation
@@ -42,7 +43,6 @@ __all__ = [
     "enable_metrics",
     "disable_metrics",
     "metrics_enabled",
-    "instrumented_call",
     "snapshot_to_prometheus",
 ]
 
@@ -420,30 +420,3 @@ def disable_metrics() -> None:
     """Restore the no-op null registry."""
     global _active
     _active = NULL_REGISTRY
-
-
-def instrumented_call(payload: tuple) -> dict:
-    """Run one sweep cell in a worker with a private registry.
-
-    ``payload`` is ``(fn, args)``.  A fresh registry is installed for the
-    duration of the call (restoring whatever was active before), the cell's
-    wall-clock duration is observed into ``sweep.cell.seconds``, and the
-    result ships back as a plain dict::
-
-        {"value": <fn(args)>, "seconds": <duration>, "metrics": <snapshot>}
-
-    Module-level and picklable, so ``ProcessPoolExecutor`` can run it under
-    the pinned ``spawn`` start method.
-    """
-    fn, args = payload
-    previous = get_metrics()
-    registry = MetricsRegistry()
-    enable_metrics(registry)
-    start = time.perf_counter()
-    try:
-        value = fn(args)
-    finally:
-        elapsed = time.perf_counter() - start
-        enable_metrics(previous) if previous.enabled else disable_metrics()
-    registry.histogram("sweep.cell.seconds").observe(elapsed)
-    return {"value": value, "seconds": elapsed, "metrics": registry.snapshot()}

@@ -1,15 +1,13 @@
-"""Opt-in profiling: wall-clock stage sections plus a cProfile capture.
+"""Opt-in profiling: a cProfile capture rendered beside a stage table.
 
 The ``--profile`` CLI flag wraps a whole command in a
-:class:`ProfileSession`.  Two complementary views come out:
+:class:`ProfileSession`.  Its report has two views:
 
-* **stage sections** — instrumented code brackets coarse stages with
-  ``session.section("sweep")``; the report is a per-stage wall-clock
-  breakdown table (count, total, mean, share of profiled time).  Stages
-  answer "where does the run spend its time" at the granularity the
-  methodology cares about (trial RNG, world build, scoring, event loop).
-* **cProfile** — the standard deterministic profiler runs underneath and
-  the report appends the top functions by cumulative time, for when the
+* **stages** — spans are the one stage timer.  :class:`repro.obs.ObsSession`
+  traces a profiled command and hands :meth:`ProfileSession.render` the
+  :func:`repro.obs.summarize_spans` rows of its spans (the table
+  ``beaconplace obs`` prints), shown with each stage's share of wall time.
+* **cProfile** — the top functions by cumulative time, for when the
   stage view points somewhere surprising.
 
 Profiling is strictly opt-in and never on during tier-1 runs, so its
@@ -24,47 +22,17 @@ import io
 import pstats
 import time
 
-__all__ = ["ProfileSession", "get_profile", "enable_profiling", "disable_profiling"]
-
-
-class _Section:
-    __slots__ = ("_session", "_name", "_start")
-
-    def __init__(self, session: "ProfileSession", name: str):
-        self._session = session
-        self._name = name
-
-    def __enter__(self) -> "_Section":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._session._record(self._name, time.perf_counter() - self._start)
-
-
-class _NullSection:
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSection":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        pass
-
-
-_NULL_SECTION = _NullSection()
+__all__ = ["ProfileSession"]
 
 
 class ProfileSession:
-    """One profiled command: stage timers + a cProfile capture.
+    """One profiled command: a cProfile capture and its wall-clock total.
 
-    Use as a context manager (or call :meth:`start`/:meth:`stop`); render
-    the per-stage breakdown with :meth:`render` after stopping.
+    Bracket the command with :meth:`start`/:meth:`stop`, then :meth:`render`.
     """
 
     def __init__(self) -> None:
         self._profile = cProfile.Profile()
-        self._stages: dict[str, list] = {}  # name -> [count, total seconds]
         self._t0: float | None = None
         self.wall_seconds = 0.0
 
@@ -81,41 +49,22 @@ class ProfileSession:
             self.wall_seconds += time.perf_counter() - self._t0
             self._t0 = None
 
-    def __enter__(self) -> "ProfileSession":
-        self.start()
-        return self
+    def render(self, stages=(), *, top: int = 15) -> str:
+        """The full report: the stage table, then the top cProfile functions.
 
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    def section(self, name: str) -> _Section:
-        """Context manager timing one named stage."""
-        return _Section(self, name)
-
-    def _record(self, name: str, seconds: float) -> None:
-        entry = self._stages.setdefault(name, [0, 0.0])
-        entry[0] += 1
-        entry[1] += seconds
-
-    def stage_rows(self) -> list[tuple]:
-        """``(stage, count, total s, mean s, share)`` rows, biggest first."""
-        total = self.wall_seconds or sum(t for _, t in self._stages.values()) or 1.0
-        rows = [
-            (name, count, seconds, seconds / count, seconds / total)
-            for name, (count, seconds) in self._stages.items()
-        ]
-        rows.sort(key=lambda r: r[2], reverse=True)
-        return rows
-
-    def render(self, *, top: int = 15) -> str:
-        """The full profile report (stage table + top cProfile functions)."""
+        Args:
+            stages: ``(name, count, total s, mean s, max s)`` rows, as
+                :func:`repro.obs.summarize_spans` returns them.
+            top: cProfile functions to list.
+        """
         from ..viz import format_table
 
         lines = [f"profiled wall time: {self.wall_seconds:.3f} s"]
-        if self._stages:
+        if stages:
+            wall = self.wall_seconds or 1.0
             rows = [
-                (name, count, f"{total:.3f}", f"{mean * 1e3:.2f}", f"{share:.1%}")
-                for name, count, total, mean, share in self.stage_rows()
+                (name, count, f"{total:.3f}", f"{mean * 1e3:.2f}", f"{total / wall:.1%}")
+                for name, count, total, mean, _ in stages
             ]
             lines.append("")
             lines.append(
@@ -130,35 +79,3 @@ class ProfileSession:
         lines.append(f"top {top} functions by cumulative time (cProfile):")
         lines.append(stream.getvalue().rstrip())
         return "\n".join(lines)
-
-
-class _NullProfile:
-    """No-op stand-in handed out while profiling is off."""
-
-    def section(self, name: str) -> _NullSection:
-        return _NULL_SECTION
-
-
-NULL_PROFILE = _NullProfile()
-_active = NULL_PROFILE
-
-
-def get_profile():
-    """The active :class:`ProfileSession`, or the no-op stand-in."""
-    return _active
-
-
-def enable_profiling(session: ProfileSession | None = None) -> ProfileSession:
-    """Install (and start) a profile session for this process."""
-    global _active
-    _active = session if session is not None else ProfileSession()
-    _active.start()
-    return _active
-
-
-def disable_profiling() -> None:
-    """Stop any active session and restore the no-op stand-in."""
-    global _active
-    if isinstance(_active, ProfileSession):
-        _active.stop()
-    _active = NULL_PROFILE

@@ -13,9 +13,9 @@ timeouts, messages lost …), gauges and duration histograms.
 
 The sweep journal helpers live here too because ``beaconplace journal``
 (the ROADMAP inspection/compaction tool) shares this module's rendering.
-They parse journal JSONL directly — same format as
-:class:`repro.sim.SweepJournal`, without importing the sim layer (obs sits
-below everything it instruments, so it must not import upward).
+They parse journal JSONL with the journal's own loader,
+:func:`repro.obs.trace.read_jsonl`, without importing the sim layer (obs
+sits below everything it instruments, so it must not import upward).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .metrics import BUCKET_BOUNDS
-from .trace import read_trace
+from .trace import read_jsonl, read_trace
 
 __all__ = [
     "summarize_spans",
@@ -337,23 +337,10 @@ class JournalSummary:
 
 
 def _load_journal_lines(path: Path) -> tuple[dict, list[dict]]:
-    header: dict = {}
-    cells: list[dict] = []
-    with path.open() as handle:
-        for i, line in enumerate(handle):
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                break  # partial trailing line from a killed run
-            if i == 0:
-                if record.get("kind") != "header":
-                    raise ValueError(f"journal {path} has no header line")
-                header = record
-            elif record.get("kind") == "cell":
-                cells.append(record)
-    if not header:
+    records = read_jsonl(path)
+    if not records or records[0].get("kind") != "header":
         raise ValueError(f"journal {path} has no header line")
-    return header, cells
+    return records[0], [r for r in records[1:] if r.get("kind") == "cell"]
 
 
 def _latest_entries(cells: list[dict]) -> dict:

@@ -10,7 +10,8 @@ carry both a ``depth`` and a resolvable ``parent``) and land in the trace
 file as one flushed JSON line each, following the conventions of the sweep
 journal (:class:`repro.sim.SweepJournal`): line 1 is a header record, every
 other line is self-contained, lines are flushed as written, and a partial
-trailing line from a killed process is tolerated by :func:`read_trace`.
+trailing line from a killed process is tolerated by :func:`read_jsonl`, the
+one loader of both files.
 
 Every span record also carries identity fields so a distributed run
 stitches back into one tree (:func:`repro.obs.summary.stitch_trace`):
@@ -51,6 +52,7 @@ __all__ = [
     "enable_tracing",
     "disable_tracing",
     "tracing_enabled",
+    "read_jsonl",
     "read_trace",
     "new_trace_id",
     "set_trace_context",
@@ -398,30 +400,31 @@ def disable_tracing() -> None:
     _active = NULL_TRACER
 
 
-def read_trace(path) -> tuple[dict, list[dict]]:
-    """Load a trace file: ``(header, records)``.
+def read_jsonl(path) -> list[dict]:
+    """Every complete record of an append-only JSONL file, in order.
 
-    A partial trailing line (killed writer) is ignored, mirroring the sweep
-    journal's loader; everything before it is intact because records are
-    flushed line-by-line.
+    Stops at the first line that does not parse — a killed writer's partial
+    tail; lines before it are intact, being flushed one by one.  Callers
+    check their own header record.
+    """
+    records: list[dict] = []
+    with Path(path).open() as handle:
+        for line in handle:
+            try:
+                records.append(json.loads(line))
+            except json.JSONDecodeError:
+                break
+    return records
+
+
+def read_trace(path) -> tuple[dict, list[dict]]:
+    """Load a trace file: ``(header, records)`` (via :func:`read_jsonl`).
 
     Raises:
         ValueError: if the file does not start with a trace header.
     """
-    header: dict = {}
-    records: list[dict] = []
-    with Path(path).open() as handle:
-        for i, line in enumerate(handle):
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                break
-            if i == 0:
-                if record.get("kind") != "header" or record.get("format") != "repro-trace":
-                    raise ValueError(f"{path} is not a repro trace file (no header)")
-                header = record
-            else:
-                records.append(record)
-    if not header:
+    records = read_jsonl(path)
+    header = records[0] if records else {}
+    if header.get("kind") != "header" or header.get("format") != "repro-trace":
         raise ValueError(f"{path} is not a repro trace file (no header)")
-    return header, records
+    return header, records[1:]

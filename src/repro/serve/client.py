@@ -23,6 +23,7 @@ import time
 from ..sim.executors.wire import (
     ProtocolError,
     enable_nodelay,
+    frame_service,
     recv_frame,
     send_frame,
 )
@@ -32,6 +33,7 @@ from .schema import (
     decode_array,
     decode_float,
 )
+from .server import SERVE_PROTOCOL_VERSION, SERVICE_NAME
 
 __all__ = ["AsyncPlacementClient", "PlacementClient", "PlacementServiceError"]
 
@@ -41,8 +43,6 @@ class PlacementServiceError(RuntimeError):
 
 
 def _hello_frame() -> dict:
-    from .server import SERVE_PROTOCOL_VERSION, SERVICE_NAME
-
     return {
         "type": "hello",
         "protocol": SERVE_PROTOCOL_VERSION,
@@ -57,6 +57,8 @@ def _check_welcome(message: dict | None) -> dict:
         raise PlacementServiceError(f"server rejected handshake: {message.get('reason')}")
     if message.get("type") != "welcome":
         raise PlacementServiceError(f"expected welcome, got {message.get('type')!r}")
+    if frame_service(message) != SERVICE_NAME:
+        raise PlacementServiceError(f"server is {frame_service(message)!r}, not placement")
     return message
 
 

@@ -77,6 +77,17 @@ ALGORITHM_NAMES = ("random", "max", "grid", "greedy")
 _POLICY_NAMES = tuple(policy.value for policy in UnlocalizedPolicy)
 
 
+def _number(name: str, value, kind=float):
+    """``value`` as a finite ``kind``; integral floats such as ``40.0`` are ints."""
+    try:
+        number = kind(value)
+        if math.isfinite(number) and (kind is float or number == value):
+            return number
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be a finite {kind.__name__}, got {value!r}")
+
+
 def encode_float(value: float) -> float | str:
     """A JSON-safe scalar: the number itself, or an explicit token string.
 
@@ -165,7 +176,9 @@ class PlacementRequest:
     subsample: int = 1
 
     def __post_init__(self) -> None:
-        if self.side <= 0 or self.step <= 0 or self.radio_range <= 0:
+        for name in ("seed", "count", "field_index", "num_grids", "k", "subsample"):
+            object.__setattr__(self, name, _number(name, getattr(self, name), int))
+        if min(_number(n, getattr(self, n)) for n in ("side", "step", "radio_range")) <= 0:
             raise ValueError("side, step and radio_range must be positive")
         if self.num_grids < 1:
             raise ValueError(f"num_grids must be >= 1, got {self.num_grids}")
@@ -193,10 +206,11 @@ class PlacementRequest:
                     raise ValueError(
                         f"beacon entries are [id, x, y], got {entry!r}"
                     )
-                beacon_id, x, y = entry
-                if int(beacon_id) != beacon_id or int(beacon_id) < 0:
-                    raise ValueError(f"beacon id must be a non-negative int, got {beacon_id!r}")
-                normalized.append((int(beacon_id), float(x), float(y)))
+                beacon_id = _number("beacon id", entry[0], int)
+                if not 0 <= beacon_id < 2**64 - self.k:  # uint64 noise-hash keys
+                    raise ValueError(f"beacon id {beacon_id} outside [0, 2**64 - k)")
+                x, y = _number("beacon x", entry[1]), _number("beacon y", entry[2])
+                normalized.append((beacon_id, x, y))
             object.__setattr__(self, "beacons", tuple(normalized))
 
     # -- Canonical form ------------------------------------------------------

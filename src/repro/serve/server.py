@@ -9,7 +9,8 @@ asyncio streams here.  Frame types:
 ===========  =====  =====================================================
 type         dir    fields
 ===========  =====  =====================================================
-hello        c → s  ``protocol``, optional ``service`` (``"placement"``)
+hello        c → s  ``protocol``, ``service`` (``"placement"``; a hello
+                    without one is a sweep worker's, and is rejected)
 welcome      s → c  ``protocol``, ``service``, ``heartbeat`` (seconds),
                     ``cache`` (capacity/size)
 reject       s → c  ``reason`` — protocol or service mismatch
@@ -62,6 +63,7 @@ from ..sim.executors.wire import (
     decode_frame,
     enable_nodelay,
     encode_frame,
+    frame_service,
     _HEADER,
 )
 from ..sim.incremental import FieldCache
@@ -304,7 +306,7 @@ class PlacementServer:
             if (
                 hello.get("type") != "hello"
                 or hello.get("protocol") != SERVE_PROTOCOL_VERSION
-                or hello.get("service", SERVICE_NAME) != SERVICE_NAME
+                or frame_service(hello) != SERVICE_NAME
             ):
                 await write_stream_frame(
                     writer,
@@ -315,7 +317,7 @@ class PlacementServer:
                             f"protocol {SERVE_PROTOCOL_VERSION} "
                             f"(got {hello.get('type')!r} protocol "
                             f"{hello.get('protocol')!r} service "
-                            f"{hello.get('service', SERVICE_NAME)!r})"
+                            f"{frame_service(hello)!r})"
                         ),
                     },
                 )

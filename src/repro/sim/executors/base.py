@@ -132,9 +132,9 @@ def run_one_cell(fn: Callable, args, *, instrument: bool = False, thunk=None) ->
     Returns ``{"ok": True, "value": …, "seconds": …}`` or ``{"ok": False,
     "error": "Type: msg", "seconds": …}``; with ``instrument`` the cell runs
     under a private metrics registry whose snapshot rides along as
-    ``"metrics"`` (the :func:`repro.obs.instrumented_call` protocol, minus
-    the exception-aborts-the-chunk behavior — a chunk must survive one bad
-    cell).
+    ``"metrics"``, the caller's registry (or the null one) is restored
+    afterwards, and a successful cell's duration lands in its
+    ``sweep.cell.seconds`` histogram.
 
     ``thunk`` — a zero-argument callable from :func:`batch_thunks` — takes
     the place of ``fn(args)`` when given; it is contracted to return the

@@ -59,10 +59,12 @@ from .base import (
 )
 from .wire import (
     PROTOCOL_VERSION,
+    SWEEP_SERVICE,
     ProtocolError,
     decode_payload,
     enable_nodelay,
     encode_payload,
+    frame_service,
     recv_frame,
     send_frame,
 )
@@ -329,30 +331,28 @@ class SocketExecutor(CellExecutor):
         def handle(conn: _Conn, message: dict) -> None:
             kind = message.get("type")
             if kind == "hello":
-                if message.get("protocol") != PROTOCOL_VERSION:
-                    send(conn, {
-                        "type": "reject",
-                        "reason": (
-                            f"protocol {message.get('protocol')!r} != "
-                            f"{PROTOCOL_VERSION} (upgrade the worker)"
-                        ),
-                    })
-                    conn.sock.close()
-                    return
                 offered = message.get("fingerprint")
-                if offered is not None and offered != fingerprint:
-                    send(conn, {
-                        "type": "reject",
-                        "reason": (
-                            f"sweep fingerprint {offered!r} != {fingerprint!r} "
-                            "(this server runs a different sweep)"
-                        ),
-                    })
+                reason = None
+                if frame_service(message) != SWEEP_SERVICE:
+                    reason = f"this is a sweep server, not {frame_service(message)!r}"
+                elif message.get("protocol") != PROTOCOL_VERSION:
+                    reason = (
+                        f"protocol {message.get('protocol')!r} != "
+                        f"{PROTOCOL_VERSION} (upgrade the worker)"
+                    )
+                elif offered is not None and offered != fingerprint:
+                    reason = (
+                        f"sweep fingerprint {offered!r} != {fingerprint!r} "
+                        "(this server runs a different sweep)"
+                    )
+                if reason is not None:
+                    send(conn, {"type": "reject", "reason": reason})
                     conn.sock.close()
                     return
                 send(conn, {
                     "type": "welcome",
                     "protocol": PROTOCOL_VERSION,
+                    "service": SWEEP_SERVICE,
                     "fingerprint": fingerprint,
                     "fn": fn_ref,
                     "instrument": instrument,
@@ -573,7 +573,7 @@ def run_worker(
         drained = False
         try:
             sock.settimeout(None)  # block on batches; liveness is the server's job
-            hello = {"type": "hello", "protocol": PROTOCOL_VERSION}
+            hello = {"type": "hello", "protocol": PROTOCOL_VERSION, "service": SWEEP_SERVICE}
             if fingerprint is not None:
                 hello["fingerprint"] = fingerprint
             try:
@@ -587,6 +587,8 @@ def run_worker(
                 raise WorkerRejected(welcome.get("reason", "rejected"))
             if welcome.get("type") != "welcome":
                 raise ProtocolError(f"expected welcome, got {welcome!r}")
+            if frame_service(welcome) != SWEEP_SERVICE:
+                raise WorkerRejected(f"server is {frame_service(welcome)!r}, not a sweep")
             fn = resolve_cell_fn(welcome["fn"])
             instrument = bool(welcome.get("instrument"))
             apply_dispatch_extras(welcome.get("extras"))

@@ -8,12 +8,13 @@ The JSON envelope carries a ``"type"`` plus type-specific fields:
 ===========  =====  =====================================================
 type         dir    fields
 ===========  =====  =====================================================
-hello        w → s  ``protocol``, optional ``fingerprint``
-welcome      s → w  ``protocol``, ``fingerprint``, ``fn`` (module:qualname
-                    reference), ``instrument``, ``heartbeat`` (seconds),
-                    optional ``extras`` (shm handle, trace context — see
-                    ``base.dispatch_extras``)
-reject       s → w  ``reason`` — protocol or fingerprint mismatch
+hello        w → s  ``protocol``, ``service`` (``"sweep"``), optional
+                    ``fingerprint``
+welcome      s → w  ``protocol``, ``service``, ``fingerprint``, ``fn``
+                    (module:qualname reference), ``instrument``,
+                    ``heartbeat`` (seconds), optional ``extras`` (shm
+                    handle, trace context — see ``base.dispatch_extras``)
+reject       s → w  ``reason`` — protocol, service or fingerprint mismatch
 batch        s → w  ``id``, ``cells``: list of ``{"key": […], "args": …}``
 result       w → s  ``batch``, ``index``, ``outcome`` (one cell, streamed
                     as soon as it finishes — crash accounting stays exact)
@@ -28,6 +29,8 @@ goodbye      w → s  clean exit; optional ``metrics`` — the worker's final
 
 Optional fields are additive: version-1 peers that omit them interoperate
 with peers that send them, so old workers join new servers and vice versa.
+A hello without ``service`` is a version-1 sweep worker's (:func:`frame_service`);
+the sweep and placement (:mod:`repro.serve`) servers each reject the other's.
 
 Cell ``args``, result values and shipped metrics snapshots are arbitrary
 Python objects (configs, fault models, algorithm instances), so they ride
@@ -62,17 +65,22 @@ import struct
 __all__ = [
     "PROTOCOL_VERSION",
     "ProtocolError",
+    "SWEEP_SERVICE",
     "decode_frame",
     "decode_payload",
     "enable_nodelay",
     "encode_frame",
     "encode_payload",
+    "frame_service",
     "recv_frame",
     "send_frame",
 ]
 
 #: Bumped whenever frame semantics change; hello/welcome both carry it.
 PROTOCOL_VERSION = 1
+
+#: The ``service`` a sweep hello and welcome name.
+SWEEP_SERVICE = "sweep"
 
 #: Refuse frames beyond this size — a corrupt length prefix must not
 #: trigger a multi-gigabyte allocation.
@@ -83,6 +91,11 @@ _HEADER = struct.Struct(">I")
 
 class ProtocolError(RuntimeError):
     """The peer sent something the wire protocol does not allow."""
+
+
+def frame_service(message: dict):
+    """The ``service`` a hello or welcome names (``"sweep"`` when absent)."""
+    return message.get("service", SWEEP_SERVICE)
 
 
 def encode_payload(obj) -> str:

@@ -42,7 +42,7 @@ from ..localization import (
     UnlocalizedPolicy,
     apply_unlocalized_policy,
 )
-from ..obs import get_metrics, get_profile
+from ..obs import get_metrics, get_tracer
 from ..radio.kernels import batch_params_from_realization, batched_connectivity
 from .trial import TrialWorld
 
@@ -137,7 +137,7 @@ def warm_worlds(
             continue
         groups.setdefault(_world_group_key(world, params), (params, []))[1].append(world)
     warmed = 0
-    with get_profile().section("kernel.batch"):
+    with get_tracer().span("kernel.batch"):
         for (_, _, n_beacons, policy, terrain_side), (params, members) in groups.items():
             pts = members[0].points()
             per_trial = max(1, pts.shape[0] * max(n_beacons, 1))

@@ -57,6 +57,7 @@ from ..obs import (
     get_live,
     get_metrics,
     get_tracer,
+    read_jsonl,
 )
 from ..placement import PlacementAlgorithm
 from .config import ExperimentConfig
@@ -256,31 +257,13 @@ class SweepJournal:
 
     @staticmethod
     def _load(path: Path) -> tuple[dict, dict]:
-        header: dict = {}
-        cells: dict = {}
-        with path.open() as handle:
-            for i, line in enumerate(handle):
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    if i == 0:
-                        # The header itself is the partial line — the run
-                        # died during journal creation; nothing to resume.
-                        raise _TruncatedHeader(path) from None
-                    # Partial trailing line from a killed run; everything
-                    # before it is intact (one line per flushed cell).
-                    break
-                if i == 0:
-                    if record.get("kind") != "header":
-                        raise ValueError(f"journal {path} has no header line")
-                    header = record
-                elif record.get("kind") == "cell":
-                    cells[_canon_key(record["key"])] = record
-        if not header:
-            # Zero complete lines: the file was created but the header never
-            # hit the disk before the kill.
-            raise _TruncatedHeader(path)
-        return header, cells
+        records = read_jsonl(path)
+        if not records:
+            raise _TruncatedHeader(path)  # killed before the header was whole
+        if records[0].get("kind") != "header":
+            raise ValueError(f"journal {path} has no header line")
+        cells = {_canon_key(r["key"]): r for r in records[1:] if r.get("kind") == "cell"}
+        return records[0], cells
 
     def __len__(self) -> int:
         return len(self._entries)

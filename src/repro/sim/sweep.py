@@ -23,7 +23,7 @@ from typing import Callable
 
 from ..faults import FaultModel, apply_faults
 from ..field import random_uniform_field
-from ..obs import get_metrics, get_profile
+from ..obs import get_metrics, get_tracer
 from ..radio import BeaconNoiseModel, PropagationModel
 from .config import ExperimentConfig
 from .executors.cache import (
@@ -72,7 +72,7 @@ def build_world(
     it.  Surviving beacons keep their ids, so their propagation links are
     identical to the pristine world's.
     """
-    with get_profile().section("world.build"):
+    with get_tracer().span("world.build"):
         get_metrics().counter("sweep.worlds_built").inc()
 
         def build_field():

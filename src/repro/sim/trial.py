@@ -43,7 +43,7 @@ from ..localization import (
     Localizer,
     localization_errors,
 )
-from ..obs import get_metrics, get_profile, get_tracer
+from ..obs import get_metrics, get_tracer
 from ..placement import PlacementAlgorithm
 from ..radio import PropagationRealization
 
@@ -113,7 +113,7 @@ class TrialWorld:
     def connectivity(self) -> np.ndarray:
         """Cached ``(P_T, N)`` connectivity of the current field."""
         if self._conn is None:
-            with get_profile().section("world.connectivity"):
+            with get_tracer().span("world.connectivity"):
                 self._conn = self.realization.connectivity(self.points(), self.field)
         return self._conn
 
@@ -257,23 +257,20 @@ def run_placement_trial(
     Returns:
         One :class:`TrialOutcome` per algorithm, in input order.
     """
-    profile = get_profile()
     tracer = get_tracer()
     metrics = get_metrics()
-    with profile.section("trial.survey"), tracer.span("trial.survey"):
+    with tracer.span("trial.survey"):
         survey = world.survey()
         base_mean, base_median = world.base_stats()
     outcomes = []
     for algorithm in algorithms:
         rng = rng_for(algorithm.name)
-        with profile.section("placement.propose"), \
-                tracer.span("placement.propose", algorithm=algorithm.name), \
+        with tracer.span("placement.propose", algorithm=algorithm.name), \
                 metrics.histogram(f"placement.propose.seconds.{algorithm.name}").time():
             pick = algorithm.propose(
                 survey, rng, world if algorithm.requires_world else None
             )
-        with profile.section("placement.evaluate"), \
-                tracer.span("placement.evaluate", algorithm=algorithm.name):
+        with tracer.span("placement.evaluate", algorithm=algorithm.name):
             gain_mean, gain_median = world.evaluate_candidate(pick)
         metrics.counter("placement.proposals").inc()
         outcomes.append(

@@ -17,17 +17,14 @@ from repro.obs import (
     ProfileSession,
     compact_journal,
     disable_metrics,
-    disable_profiling,
     disable_tracing,
     enable_metrics,
     enable_tracing,
     format_journal_summary,
     format_metrics_snapshot,
     get_metrics,
-    get_profile,
     get_tracer,
     inspect_journal,
-    instrumented_call,
     metrics_enabled,
     read_trace,
     summarize_run_dir,
@@ -40,6 +37,7 @@ from repro.sim import (
     mean_error_curve,
     run_cells,
 )
+from repro.sim.executors.base import run_one_cell
 
 
 @pytest.fixture(autouse=True)
@@ -47,11 +45,9 @@ def _clean_obs_state():
     """Every test starts and ends with observability fully off."""
     disable_metrics()
     disable_tracing()
-    disable_profiling()
     yield
     disable_metrics()
     disable_tracing()
-    disable_profiling()
 
 
 class TestInstruments:
@@ -194,27 +190,26 @@ class TestNullDefaults:
         with get_tracer().span("anything", attr=1):
             pass  # must be a no-op, no file anywhere
 
-    def test_null_profile_sections_are_noops(self):
-        with get_profile().section("stage"):
-            pass
 
+class TestRunOneCellInstrument:
+    """An instrumented cell runs under a private registry (the worker side
+    of the snapshot/merge protocol) and leaves the caller's in place."""
 
-class TestInstrumentedCall:
     def test_wraps_value_and_ships_snapshot(self):
-        result = instrumented_call((_count_and_double, 21))
-        assert result["value"] == 42
+        result = run_one_cell(_count_and_double, 21, instrument=True)
+        assert result["ok"] and result["value"] == 42
         assert result["seconds"] >= 0.0
         assert result["metrics"]["counters"]["test.calls"] == 1
         assert result["metrics"]["histograms"]["sweep.cell.seconds"]["count"] == 1
 
     def test_restores_previous_registry(self):
         mine = enable_metrics()
-        instrumented_call((_count_and_double, 1))
+        run_one_cell(_count_and_double, 1, instrument=True)
         assert get_metrics() is mine
         assert mine.counter("test.calls").value == 0
 
     def test_restores_null_when_disabled(self):
-        instrumented_call((_count_and_double, 1))
+        run_one_cell(_count_and_double, 1, instrument=True)
         assert not metrics_enabled()
 
 
@@ -357,19 +352,26 @@ class TestTracer:
 
 class TestProfileSession:
     def test_sections_and_render(self):
-        with ProfileSession() as session:
-            with session.section("stage.a"):
-                sum(range(1000))
-            with session.section("stage.a"):
-                pass
-            with session.section("stage.b"):
-                pass
-        rows = {name: count for name, count, *_ in session.stage_rows()}
-        assert rows == {"stage.a": 2, "stage.b": 1}
-        report = session.render()
-        assert "stage.a" in report
-        assert "cumulative" in report
+        session = ProfileSession()
+        session.start()
+        sum(range(1000))
+        session.stop()
+        stages = summarize_spans(
+            [
+                {"kind": "span", "name": "stage.a", "dur": 0.002},
+                {"kind": "span", "name": "stage.a", "dur": 0.001},
+                {"kind": "span", "name": "stage.b", "dur": 0.0005},
+            ]
+        )
+        report = session.render(stages)
         assert session.wall_seconds > 0.0
+        assert "profiled wall time" in report
+        table = report.split("top 15 functions")[0]
+        row_a = next(line for line in table.splitlines() if "stage.a" in line)
+        assert row_a.split()[1:4] == ["2", "0.003", "1.50"]  # count, total s, mean ms
+        assert table.index("stage.a") < table.index("stage.b")
+        assert "cumulative" in report
+        assert "stage" not in session.render().split("top 15 functions")[0]
 
 
 class TestSummaries:
@@ -404,14 +406,12 @@ class TestSummaries:
             get_metrics().counter("demo").inc()
             with get_tracer().span("demo.span"):
                 pass
-            with get_profile().section("demo.stage"):
-                pass
         assert not metrics_enabled()
         snapshot = json.loads((run_dir / "metrics.json").read_text())
         assert snapshot["counters"]["demo"] == 1
         _, records = read_trace(run_dir / "trace.jsonl")
         assert records[0]["name"] == "demo.span"
-        assert "demo.stage" in (run_dir / "profile.txt").read_text()
+        assert "demo.span" in (run_dir / "profile.txt").read_text()
         text = summarize_run_dir(run_dir)
         assert "demo.span" in text and "demo" in text
 
@@ -419,6 +419,36 @@ class TestSummaries:
         with ObsSession(None, profile=False):
             assert not metrics_enabled()
         assert list(tmp_path.iterdir()) == []
+
+    def test_profile_without_run_dir_tables_its_spans_and_leaves_no_trace(self):
+        """``--profile`` alone traces into a temporary directory: the stage
+        table holds exactly the spans opened inside the session, and the
+        trace file is gone afterwards."""
+        session = ObsSession(None, profile=True)
+        with session:
+            trace_path = get_tracer().path
+            for _ in range(3):
+                with get_tracer().span("demo.stage"):
+                    pass
+        assert not trace_path.exists() and not trace_path.parent.exists()
+        assert get_tracer() is NULL_TRACER and not metrics_enabled()
+        table = session.profile_report.split("top 15 functions")[0]
+        rows = [line.split() for line in table.splitlines() if "demo." in line]
+        assert [row[:2] for row in rows] == [["demo.stage", "3"]]
+
+    def test_profile_table_skips_earlier_sessions_in_the_same_trace(self, tmp_path):
+        run_dir = tmp_path / "run"
+        with ObsSession(run_dir):
+            with get_tracer().span("earlier.stage"):
+                pass
+        session = ObsSession(run_dir, profile=True)
+        with session:
+            with get_tracer().span("later.stage"):
+                pass
+        _, records = read_trace(run_dir / "trace.jsonl")
+        assert {r["name"] for r in records} == {"earlier.stage", "later.stage"}
+        assert "later.stage" in session.profile_report
+        assert "earlier.stage" not in session.profile_report
 
 
 class TestJournalTools:

@@ -33,7 +33,14 @@ from repro.serve import (
     read_stream_frame,
     solve_request,
 )
-from repro.sim import build_world
+from repro.sim import (
+    RetryPolicy,
+    SocketExecutor,
+    WorkerRejected,
+    build_world,
+    run_cells,
+    run_worker,
+)
 from repro.sim.executors.wire import ProtocolError, recv_frame, send_frame
 from repro.sim.incremental import FieldCache
 
@@ -45,6 +52,10 @@ def tiny_request(**overrides) -> PlacementRequest:
     spec = dict(TINY)
     spec.update(overrides)
     return PlacementRequest(**spec)
+
+
+def _double(args):
+    return args * 2
 
 
 class ServerHarness:
@@ -132,6 +143,30 @@ class TestSchema:
             tiny_request(beacons=[[-1, 0.0, 0.0]])
         with pytest.raises(ValueError, match=r"\[id, x, y\]"):
             tiny_request(beacons=[[0, 1.0]])
+        for name in ("seed", "count", "field_index", "num_grids", "k", "subsample"):
+            for value in (1.5, float("inf"), float("nan"), "3", None):
+                with pytest.raises(ValueError, match=f"{name} must be a finite int"):
+                    tiny_request(**{name: value})
+        for name in ("side", "step", "radio_range"):
+            for value in (float("inf"), float("nan"), 10**400):
+                with pytest.raises(ValueError, match=f"{name} must be a finite float"):
+                    tiny_request(**{name: value})
+        with pytest.raises(ValueError, match="beacon x must be a finite float"):
+            tiny_request(beacons=[[0, float("inf"), 1.0]])
+        with pytest.raises(ValueError, match="beacon y must be a finite float"):
+            tiny_request(beacons=[[0, 1.0, float("nan")]])
+        # The noise hash keys beacons by uint64, placed ones included.
+        for beacon_id, k in ((2**70, 1), (2**64, 1), (2**64 - 1, 1), (2**64 - 2, 2)):
+            with pytest.raises(ValueError, match="beacon id"):
+                tiny_request(beacons=[[beacon_id, 1.0, 1.0]], algorithm="greedy", k=k)
+        with pytest.raises(ValueError, match="beacon id"):
+            tiny_request(beacons=[[0.5, 1.0, 1.0]])
+
+    def test_integral_floats_normalize(self):
+        request = tiny_request(count=6.0, field_index=1.0, seed=7.0, beacons=[[3.0, 1, 2]])
+        assert request == tiny_request(field_index=1, seed=7, beacons=[[3, 1.0, 2.0]])
+        assert type(request.count) is int and request.beacons == ((3, 1.0, 2.0),)
+        assert tiny_request(beacons=[[2**64 - 3, 1.0, 1.0]], algorithm="greedy", k=2)
 
     def test_fingerprint_distinguishes_requests(self):
         assert tiny_request().fingerprint() != tiny_request(noise=0.3).fingerprint()
@@ -290,6 +325,27 @@ class TestService:
             solution = client.place(tiny_request())
             assert solution.picks
 
+    @pytest.mark.parametrize(
+        "spec_json",
+        [
+            '{"side": 1e400}',
+            '{"beacons": [[%d, 1.0, 1.0]]}' % 2**70,
+            '{"beacons": [[0, 1e400, 1.0]]}',
+            '{"field_index": 1.5}',
+        ],
+        ids=["side-inf", "id-overflows-uint64", "coordinate-inf", "fractional-index"],
+    )
+    def test_out_of_range_spec_answers_error_and_survives(self, harness, spec_json):
+        """Specs whose solve would overflow (or silently truncate) answer an
+        error frame carrying their id; the connection stays usable."""
+        with PlacementClient(harness.address) as client:
+            payload = ('{"type": "place", "id": 9, "spec": %s}' % spec_json).encode()
+            client._sock.sendall(struct.pack(">I", len(payload)) + payload)
+            message = client._recv()
+            assert message["type"] == "error" and message["id"] == 9
+            assert client.status()["errors"] == 1
+            assert client.place(tiny_request()).picks
+
     def test_unknown_frame_type_answers_error(self, harness):
         with PlacementClient(harness.address) as client:
             send_frame(client._sock, {"type": "dance", "id": 3})
@@ -378,6 +434,92 @@ class TestService:
             assert harness.server.requests == 2
         finally:
             harness.stop()
+
+
+class TestCrossService:
+    """Sweep workers and placement clients share one framing; each server
+    refuses the other's client with a reason instead of serving garbage."""
+
+    def test_sweep_worker_rejected_by_placement_server(self, harness):
+        with pytest.raises(WorkerRejected, match="service 'sweep'"):
+            run_worker(harness.address, connect_timeout=5.0)
+        with PlacementClient(harness.address) as client:
+            assert client.heartbeat()  # the server carries on
+
+    def test_placement_client_rejected_by_sweep_executor(self):
+        """Refused before any batch is handed out, so the client's exit
+        charges no cell — even with a single attempt per cell."""
+        jobs = [((i,), i) for i in range(4)]
+        registry = enable_metrics(MetricsRegistry())
+        results = {}
+        try:
+            with SocketExecutor(chunk=8) as executor:
+                sweep = threading.Thread(
+                    target=lambda: results.update(
+                        run_cells(
+                            jobs,
+                            _double,
+                            executor=executor,
+                            policy=RetryPolicy(max_attempts=1, backoff=0.0),
+                        )
+                    ),
+                    daemon=True,
+                )
+                sweep.start()
+                with pytest.raises(PlacementServiceError, match="sweep server"):
+                    PlacementClient(executor.address, retry_for=5.0)
+                worker = threading.Thread(
+                    target=run_worker, args=(executor.address,),
+                    kwargs={"connect_timeout": 5.0}, daemon=True,
+                )
+                worker.start()
+                sweep.join(timeout=30.0)
+            worker.join(timeout=15.0)
+        finally:
+            disable_metrics()
+        assert results == {(i,): i * 2 for i in range(4)}
+        assert registry.counter("sweep.cells.worker_death").value == 0
+
+    @pytest.mark.parametrize(
+        "welcome, connect, error",
+        [
+            (
+                {"type": "welcome", "protocol": 1, "service": "placement"},
+                lambda address: run_worker(address, connect_timeout=5.0),
+                WorkerRejected,
+            ),
+            (
+                {"type": "welcome", "protocol": 1, "fn": "builtins:abs"},
+                lambda address: PlacementClient(address, retry_for=5.0),
+                PlacementServiceError,
+            ),
+        ],
+        ids=["worker-welcomed-by-placement", "client-welcomed-by-sweep"],
+    )
+    def test_clients_check_the_welcome_service(self, welcome, connect, error):
+        """A server that welcomes the wrong client anyway (one that predates
+        the check) is still refused by the client itself."""
+        import socket as socket_mod
+
+        listener = socket_mod.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+
+        def welcome_anyone():
+            conn, _ = listener.accept()
+            with conn:
+                recv_frame(conn)
+                send_frame(conn, welcome)
+                recv_frame(conn)  # until the client hangs up
+
+        thread = threading.Thread(target=welcome_anyone, daemon=True)
+        thread.start()
+        try:
+            with pytest.raises(error, match="sweep"):
+                connect(listener.getsockname())
+        finally:
+            listener.close()
+            thread.join(5)
 
 
 # -- Stream framing hardening -------------------------------------------------
