@@ -158,7 +158,7 @@ def test_incremental_scan_beats_full_recompute():
     payload = {
         "sweep": {
             "config": "paper side=100 range=15 step=1 beacons=120 noise=0.3",
-            "scan_candidates": int(top.shape[0]),
+            "survey_candidates": int(top.shape[0]),
             "greedy_candidates": int(lattice.shape[0]),
             "full_repeats": INCR_FULL_REPEATS,
         },

@@ -77,6 +77,7 @@ from .trace import (
     disable_tracing,
     enable_tracing,
     get_tracer,
+    open_jsonl_append,
     process_metadata,
     read_jsonl,
     read_trace,
@@ -104,6 +105,7 @@ __all__ = [
     "disable_tracing",
     "tracing_enabled",
     "read_jsonl",
+    "open_jsonl_append",
     "read_trace",
     "ProfileSession",
     "LiveStatus",

@@ -11,7 +11,8 @@ file as one flushed JSON line each, following the conventions of the sweep
 journal (:class:`repro.sim.SweepJournal`): line 1 is a header record, every
 other line is self-contained, lines are flushed as written, and a partial
 trailing line from a killed process is tolerated by :func:`read_jsonl`, the
-one loader of both files.
+one loader of both files, and cut by :func:`open_jsonl_append` before
+either writer appends.
 
 Every span record also carries identity fields so a distributed run
 stitches back into one tree (:func:`repro.obs.summary.stitch_trace`):
@@ -53,6 +54,7 @@ __all__ = [
     "disable_tracing",
     "tracing_enabled",
     "read_jsonl",
+    "open_jsonl_append",
     "read_trace",
     "new_trace_id",
     "set_trace_context",
@@ -237,8 +239,8 @@ class Tracer:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         remote = _remote()
         self.trace_id = remote["trace"] if remote is not None else new_trace_id()
-        fresh = not self.path.exists()
-        self._handle = self.path.open("a")
+        self._handle = open_jsonl_append(self.path)
+        fresh = self._handle.tell() == 0
         self._lock = threading.Lock()
         self._local = threading.local()
         if fresh:
@@ -415,6 +417,30 @@ def read_jsonl(path) -> list[dict]:
             except json.JSONDecodeError:
                 break
     return records
+
+
+def open_jsonl_append(path):
+    """Open an append-only JSONL file for appending, dropping a torn tail.
+
+    A writer killed mid-line leaves a last line without its ``\\n``.
+    Appending after it would glue the next record onto that partial line,
+    where :func:`read_jsonl` stops, and every record written after the
+    resume would be lost.  The file is created if missing.
+    """
+    path = Path(path)
+    with path.open("ab+") as handle:
+        keep = end = handle.seek(0, os.SEEK_END)
+        while keep > 0:
+            start = max(0, keep - 4096)
+            handle.seek(start)
+            newline = handle.read(keep - start).rfind(b"\n")
+            if newline >= 0:
+                keep = start + newline + 1
+                break
+            keep = start
+        if keep < end:
+            handle.truncate(keep)
+    return path.open("a")
 
 
 def read_trace(path) -> tuple[dict, list[dict]]:

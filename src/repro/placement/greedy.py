@@ -7,11 +7,12 @@ Range-Aided Localization" — see PAPERS.md): thousands of objective
 evaluations per placement, a regime the paper's 2001-era algorithms never
 enter because a full localization rebuild per candidate is unaffordable.
 
-:class:`GreedyKPlacement` is that baseline, made affordable by the
-incremental delta-engine (:mod:`repro.sim.incremental`): each round scans
-*every* lattice point (or a configured candidate set) for the position that
-minimizes the resulting mean LE — one base field plus K cheap deltas
-instead of K rebuilds — commits the argmin as an :class:`AddBeacon` delta,
+:class:`GreedyKPlacement` is that baseline, made affordable by the world's
+candidate scan (:meth:`repro.sim.TrialWorld.scan_add_candidates`): each
+round scans *every* lattice point (or a configured candidate set) for the
+position that minimizes the resulting mean LE — one base field plus K cheap
+peeks instead of K rebuilds — commits the argmin with ``with_beacon`` (an
+:class:`~repro.sim.AddBeacon` delta on a :class:`~repro.sim.FieldState`),
 and repeats.  Bench E16 compares it against Random/Max/Grid at an equal
 measurement budget.
 
@@ -72,31 +73,26 @@ class GreedyKPlacement(PlacementAlgorithm):
         world,
         k: int | None = None,
     ) -> list[Point]:
-        """Greedily place ``k`` beacons, committing each pick as a delta.
+        """Greedily place ``k`` beacons, committing each pick before the next scan.
 
         Returns the picks in deployment order.  The caller's ``world`` is
-        not mutated; the engine forks its own state from it.
+        not mutated: each pick commits into a new world.
         """
-        from ..sim.incremental import FieldState
-
         if world is None:
             raise ValueError("GreedyKPlacement requires the trial world")
         rounds = self.k if k is None else int(k)
         if rounds < 1:
             raise ValueError(f"k must be >= 1, got {rounds}")
         candidates = self._candidate_set(survey)
-        state = (
-            world if isinstance(world, FieldState) else FieldState.from_world(world)
-        )
         picks: list[Point] = []
         for _ in range(rounds):
-            means = state.scan_add_candidates(candidates)
+            means = world.scan_add_candidates(candidates)
             if np.all(np.isnan(means)):
                 raise ValueError("every candidate leaves the field unmeasurable")
             best = int(np.nanargmin(means))
             pick = Point(float(candidates[best, 0]), float(candidates[best, 1]))
             picks.append(pick)
-            state = state.with_beacon(pick)
+            world = world.with_beacon(pick)
         return picks
 
     def propose(

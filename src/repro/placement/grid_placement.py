@@ -39,10 +39,10 @@ class GridPlacement(PlacementAlgorithm):
         layout: the overlapping-grid decomposition (the paper uses
             ``N_G = 400`` grids of side 2R on the 100 m terrain).
         refine_k: when set, the top-k grid centers by cumulative error are
-            rescored through the incremental delta-engine
-            (:mod:`repro.sim.incremental`) by the mean LE a beacon there
-            would actually produce, and the best center wins; None keeps
-            the paper's survey-only argmax.
+            rescored by the world's candidate scan
+            (:meth:`repro.sim.TrialWorld.scan_add_candidates`) by the mean
+            LE a beacon there would actually produce, and the best center
+            wins; None keeps the paper's survey-only argmax.
     """
 
     name = "grid"
@@ -120,10 +120,8 @@ class GridPlacement(PlacementAlgorithm):
         if survey.num_points == 0:
             raise ValueError("survey has no measured points for Grid placement")
         if self.refine_k is not None and world is not None:
-            from ..sim.incremental import scan_candidates
-
             candidates = self.top_candidates(survey, self.refine_k)
-            means = scan_candidates(world, candidates)
+            means = world.scan_add_candidates(candidates)
             best = int(np.nanargmin(means))
             return Point(float(candidates[best, 0]), float(candidates[best, 1]))
         scores = self.cumulative_errors(survey)

@@ -14,9 +14,10 @@ a complete lattice sweep means row-major order — deterministic.
 
 The local-maxima weakness has a direct fix once candidate evaluation is
 cheap: with ``refine_k`` set (and a world available), the top-k surveyed
-points are rescored through the incremental delta-engine
-(:mod:`repro.sim.incremental`) by the mean LE a beacon there would actually
-produce — one base field plus k cheap deltas — and the best one wins.
+points are rescored by the world's candidate scan
+(:meth:`repro.sim.TrialWorld.scan_add_candidates`) by the mean LE a beacon
+there would actually produce — one base field plus k cheap peeks — and the
+best one wins.
 ``refine_k=None`` (the default) is the paper's exact argmax.
 """
 
@@ -71,10 +72,8 @@ class MaxPlacement(PlacementAlgorithm):
         world=None,
     ) -> Point:
         if self.refine_k is not None and world is not None:
-            from ..sim.incremental import scan_candidates
-
             candidates = self.top_candidates(survey, self.refine_k)
-            means = scan_candidates(world, candidates)
+            means = world.scan_add_candidates(candidates)
             best = int(np.nanargmin(means))
             return Point(float(candidates[best, 0]), float(candidates[best, 1]))
         errors = survey.errors

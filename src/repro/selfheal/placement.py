@@ -133,9 +133,9 @@ class FaultAwareMax(PlacementAlgorithm):
             a ``{beacon_id: age}`` mapping (missing ids default to 0), a
             scalar applied to every beacon, or None for a fresh field.
         refine_k: when set, the top-k points by survival-weighted score are
-            rescored through the incremental delta-engine
-            (:mod:`repro.sim.incremental`) by the mean LE a beacon there
-            would actually produce, and the best one wins.
+            rescored by the world's candidate scan
+            (:meth:`repro.sim.TrialWorld.scan_add_candidates`) by the mean
+            LE a beacon there would actually produce, and the best one wins.
     """
 
     name = "fa-max"
@@ -165,11 +165,9 @@ class FaultAwareMax(PlacementAlgorithm):
             raise ValueError("survey has no measured points for fa-max placement")
         scores = self.expected_errors(survey, world)
         if self.refine_k is not None:
-            from ..sim.incremental import scan_candidates
-
             order = np.argsort(-scores, kind="stable")[: self.refine_k]
             candidates = survey.points[order]
-            means = scan_candidates(world, candidates)
+            means = world.scan_add_candidates(candidates)
             best = int(np.nanargmin(means))
             return Point(float(candidates[best, 0]), float(candidates[best, 1]))
         idx = int(np.argmax(scores))
@@ -191,8 +189,8 @@ class FaultAwareGrid(GridPlacement):
         penalty: orphaned-point error (default: half the terrain side).
         ages: per-beacon service ages (see :class:`FaultAwareMax`).
         refine_k: when set, the top-k centers by survival-weighted
-            cumulative score are rescored through the incremental
-            delta-engine and the best one wins (see :class:`FaultAwareMax`).
+            cumulative score are rescored by the world's candidate scan and
+            the best one wins (see :class:`FaultAwareMax`).
     """
 
     name = "fa-grid"
@@ -234,10 +232,8 @@ class FaultAwareGrid(GridPlacement):
             raise ValueError("survey has no measured points for fa-grid placement")
         weighted = self.expected_errors(survey, world)
         if self.refine_k is not None:
-            from ..sim.incremental import scan_candidates
-
             candidates = self.top_candidates(survey, self.refine_k, errors=weighted)
-            means = scan_candidates(world, candidates)
+            means = world.scan_add_candidates(candidates)
             best = int(np.nanargmin(means))
             return Point(float(candidates[best, 0]), float(candidates[best, 1]))
         scores = self.cumulative_errors(survey, errors=weighted)

@@ -22,7 +22,6 @@ from .incremental import (
     default_field_cache,
     expected_le_field,
     field_fingerprint,
-    scan_candidates,
 )
 from .io import (
     read_curve_set,
@@ -68,7 +67,6 @@ __all__ = [
     "field_fingerprint",
     "expected_le_field",
     "default_field_cache",
-    "scan_candidates",
     "build_world",
     "default_model_factory",
     "warm_worlds",

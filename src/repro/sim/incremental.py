@@ -9,21 +9,24 @@ evaluation (the hash-keyed connectivity of :mod:`repro.radio.hashrand`,
 which dominates the build at paper fidelity) for a perturbation that only
 touches one beacon's column.
 
-:class:`FieldState` is the engine.  It holds the ``(P, N)`` connectivity of
-the current field and applies :class:`AddBeacon` / :class:`RemoveBeacon` /
-:class:`MoveBeacon` deltas by recomputing **only the affected beacon's
-column** — the O(affected-region) part, since a beacon's column is exactly
-its connectivity disk.  The localization stage downstream of connectivity
-(one BLAS mat-vec plus elementwise policy/error arithmetic, ~2% of a full
-build) is re-run whole rather than row-subset:
+:class:`FieldState` is the engine: a :class:`~repro.sim.TrialWorld` (whose
+error field, survey, candidate peeks, scans and ``with_beacon`` it uses
+unchanged) that also applies :class:`AddBeacon` / :class:`RemoveBeacon` /
+:class:`MoveBeacon` deltas and jumps to an arbitrary field
+(:meth:`FieldState.advance_to`).  Each recomputes **only the affected
+beacons' columns** — the O(affected-region) part, since a beacon's column is
+exactly its connectivity disk — and splices the rest from the current
+matrix.  The localization stage downstream of connectivity (one BLAS
+mat-vec plus elementwise policy/error arithmetic, ~2% of a full build) is
+re-run whole rather than row-subset.
 
 Bit-identity contract
 ---------------------
-``state.apply(delta).errors()`` is **byte-identical** to
-``FieldState.build(field_after_delta, …).errors()`` — and therefore to
-``TrialWorld.errors()`` on the same field — for every supported localizer,
-noise model and fault mask.  Two empirical facts (pinned by
-``tests/test_sim_incremental.py``) make this work:
+``state.apply(delta).errors()`` — and ``world.with_beacon(p).errors()`` on
+either class — is **byte-identical** to a fresh
+:class:`~repro.sim.TrialWorld` built on the resulting field, for every
+supported localizer, noise model and fault mask.  Two empirical facts
+(pinned by ``tests/test_sim_incremental.py``) make this work:
 
 * connectivity is *column-subset invariant*: every per-link quantity
   (hash-keyed noise, the two-term distance, the threshold comparison) is
@@ -31,14 +34,15 @@ noise model and fault mask.  Two empirical facts (pinned by
   its slice of the full matrix, byte for byte;
 * BLAS reductions are **not** row-subset invariant on this toolchain
   (``(W @ pos)[rows] != W[rows] @ pos`` in the last ulp for some rows), so
-  the engine deliberately re-runs the cheap full-shape reduction on the
-  incrementally maintained connectivity instead of patching rows of a
-  cached result.
+  a committed world re-runs the cheap full-shape reduction on its spliced
+  connectivity instead of patching rows of a cached result.  Only the O(P)
+  candidate peek adds a column to cached sums, so it may differ from the
+  committed world in the last ulp.
 
-Non-centroid localizers have no incremental sum structure; the engine still
-maintains their connectivity incrementally but falls back to a full
-re-estimate for the error field, counting ``incremental.fallback.full`` —
-never silently diverging.
+Non-centroid localizers have no incremental sum structure; their
+connectivity is still maintained incrementally but the error field falls
+back to a full re-estimate, counting ``incremental.fallback.full`` — never
+silently diverging.
 
 :class:`FieldCache` adds the memoization layer: an LRU of expected-LE maps
 keyed by :func:`field_fingerprint` — a canonical sha256 over the beacon
@@ -49,9 +53,9 @@ silently share driver-side state), which ``tests/test_sim_incremental.py``
 pins.
 
 Observability: every delta bumps ``sweep.delta_applied`` inside an
-``incremental.delta`` span, and full builds run under
-``incremental.full_build`` — ``beaconplace obs --tree`` shows the
-delta-vs-rebuild time split.
+``incremental.delta`` span, and full builds run under the world's
+``world.connectivity`` span (counted as ``incremental.full_builds``) —
+``beaconplace obs --tree`` shows the delta-vs-rebuild time split.
 """
 
 from __future__ import annotations
@@ -62,19 +66,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..exploration import Survey
 from ..field import Beacon, BeaconField
-from ..geometry import MeasurementGrid, Point, as_point, as_point_array
-from ..localization import (
-    CentroidLocalizer,
-    CentroidState,
-    ErrorSurface,
-    Localizer,
-    localization_errors,
-)
+from ..geometry import MeasurementGrid, Point, as_point
+from ..localization import CentroidLocalizer, Localizer
 from ..obs import get_metrics, get_tracer
 from ..radio import PropagationRealization
 from ..radio.kernels import batch_params_from_realization
+from .trial import TrialWorld
 
 __all__ = [
     "AddBeacon",
@@ -85,12 +83,7 @@ __all__ = [
     "field_fingerprint",
     "expected_le_field",
     "default_field_cache",
-    "scan_candidates",
 ]
-
-#: Cap on the per-lineage column cache (re-adds of intermittent beacons hit
-#: it; anything past this is a pathological churn pattern, evict oldest).
-_MAX_CACHED_COLUMNS = 4096
 
 
 @dataclass(frozen=True)
@@ -129,51 +122,15 @@ class MoveBeacon:
         return "move"
 
 
-class FieldState:
-    """The incrementally maintained expected-LE state of one beacon field.
+class FieldState(TrialWorld):
+    """A :class:`~repro.sim.TrialWorld` that also applies deltas.
 
-    Duck-types the world protocol placement algorithms consume
-    (``field``/``realization``/``grid``/``points()``/``connectivity()``/
-    ``errors()``/``survey()``/``evaluate_candidate()``/``with_beacon()`` —
-    see :class:`~repro.sim.TrialWorld`), so it drops into
-    ``requires_world`` algorithms and the selfheal controller unchanged.
-
-    Args:
-        field: the current beacon field.
-        realization: the static propagation world.
-        grid: the measurement lattice.
-        layout: optional overlapping-grid decomposition (forwarded to
-            algorithms that need it; not used by the engine itself).
-        localizer: the localization algorithm under study.
-        conn: optional pre-assembled ``(P, N)`` connectivity.  Callers own
-            the bit-identity contract: it must equal what
-            ``realization.connectivity(grid.points(), field)`` computes.
+    The world protocol placement algorithms and the selfheal controller
+    consume (errors, survey, candidate peeks and scans, ``with_beacon``)
+    is :class:`~repro.sim.TrialWorld`'s; this class adds beacon removal,
+    moves and jumps to an arbitrary field, each of which recomputes only
+    the connectivity columns that changed.
     """
-
-    def __init__(
-        self,
-        field: BeaconField,
-        realization: PropagationRealization,
-        grid: MeasurementGrid,
-        layout=None,
-        localizer: Localizer | None = None,
-        *,
-        conn: np.ndarray | None = None,
-        column_cache: dict | None = None,
-    ):
-        if localizer is None:
-            raise ValueError("FieldState needs a localizer")
-        self.field = field
-        self.realization = realization
-        self.grid = grid
-        self.layout = layout
-        self.localizer = localizer
-        self._conn = conn
-        self._state: CentroidState | None = None
-        self._errors: np.ndarray | None = None
-        # Shared across the delta lineage: columns depend only on
-        # (beacon id, position), never on the rest of the field.
-        self._columns: dict = {} if column_cache is None else column_cache
 
     # -- Construction --------------------------------------------------------
 
@@ -187,132 +144,28 @@ class FieldState:
         localizer: Localizer | None = None,
     ) -> "FieldState":
         """Full canonical build — the reference every delta chain must match."""
+        if localizer is None:
+            raise ValueError("FieldState needs a localizer")
         state = cls(field, realization, grid, layout, localizer)
         state.connectivity()
         return state
 
     @classmethod
-    def from_world(cls, world) -> "FieldState":
-        """Adopt a :class:`~repro.sim.TrialWorld` (its warm caches included).
+    def from_world(cls, world: TrialWorld) -> "FieldState":
+        """Continue ``world`` as an engine state.
 
-        Only the connectivity cache is adopted — it is bit-identical by the
-        world's own contract.  The error field is re-derived so a world
-        whose state came from stacked :meth:`CentroidState.with_beacon`
-        updates (ulp-level drift) cannot leak into the engine's contract.
+        The state shares the world's column cache and adopts its
+        connectivity, sums and errors: every cache a world holds equals
+        what a fresh build of its field computes.
         """
         state = cls(
-            world.field,
-            world.realization,
-            world.grid,
-            getattr(world, "layout", None),
-            world.localizer,
-            conn=world.connectivity(),
+            world.field, world.realization, world.grid, world.layout, world.localizer
+        )
+        state._columns = world._columns
+        state.prewarm(
+            conn=world.connectivity(), state=world._state, errors=world._errors
         )
         return state
-
-    # -- World protocol ------------------------------------------------------
-
-    @property
-    def terrain_side(self) -> float:
-        """Side of the terrain square."""
-        return self.grid.side
-
-    def points(self) -> np.ndarray:
-        """The measurement lattice points ``(P, 2)``."""
-        return self.grid.points()
-
-    def connectivity(self) -> np.ndarray:
-        """The current ``(P, N)`` connectivity (full build on first touch)."""
-        if self._conn is None:
-            metrics = get_metrics()
-            metrics.counter("incremental.full_builds").inc()
-            with get_tracer().span(
-                "incremental.full_build", beacons=len(self.field)
-            ):
-                self._conn = self.realization.connectivity(
-                    self.points(), self.field
-                )
-        return self._conn
-
-    def _localize(self) -> None:
-        conn = self.connectivity()
-        positions = self.field.positions()
-        pts = self.points()
-        localizer = self.localizer
-        if isinstance(localizer, CentroidLocalizer):
-            self._state = CentroidState.from_connectivity(conn, positions)
-            estimates = self._state.estimates(
-                localizer.policy,
-                points=pts,
-                beacon_positions=positions,
-                terrain_side=localizer.terrain_side,
-            )
-        else:
-            # Non-subtractable localizer: connectivity is still maintained
-            # incrementally, but the error field needs a full re-estimate.
-            get_metrics().counter("incremental.fallback.full").inc()
-            estimates = localizer.estimate(conn, positions, pts)
-        self._errors = localization_errors(estimates, pts)
-
-    def errors(self) -> np.ndarray:
-        """Per-lattice-point LE of the current field (bit-identical to
-        :meth:`TrialWorld.errors` on the same field)."""
-        if self._errors is None:
-            self._localize()
-        return self._errors
-
-    def centroid_state(self) -> CentroidState:
-        """The per-point connected-sum/count arrays (centroid localizer only)."""
-        if self._state is None:
-            self.errors()
-        if self._state is None:
-            raise TypeError(
-                f"{type(self.localizer).__name__} has no centroid state "
-                "(non-subtractable localizer)"
-            )
-        return self._state
-
-    def error_surface(self) -> ErrorSurface:
-        """The error field as an :class:`~repro.localization.ErrorSurface`."""
-        return ErrorSurface(self.grid, self.errors())
-
-    def survey(self) -> Survey:
-        """The complete, noise-free survey of this field."""
-        return Survey.from_error_surface(self.error_surface())
-
-    def base_stats(self) -> tuple[float, float]:
-        """(mean, median) LE of the current field."""
-        surface = self.error_surface()
-        return surface.mean_error(), surface.median_error()
-
-    # -- Columns -------------------------------------------------------------
-
-    def _column_for(self, beacon_id: int, position: Point) -> np.ndarray:
-        """The ``(P,)`` connectivity column of one beacon, cached by identity.
-
-        Column-subset invariance (module docstring) makes this value
-        byte-identical to the corresponding slice of any full connectivity
-        matrix containing the beacon, so cached columns are safe to splice.
-        """
-        key = (int(beacon_id), float(position.x), float(position.y))
-        cached = self._columns.get(key)
-        metrics = get_metrics()
-        if cached is not None:
-            metrics.counter("incremental.column.hits").inc()
-            return cached
-        metrics.counter("incremental.column.misses").inc()
-        column = self.realization.connectivity(
-            self.points(), [Beacon(int(beacon_id), position)]
-        )[:, 0]
-        column.setflags(write=False)
-        if len(self._columns) >= _MAX_CACHED_COLUMNS:
-            del self._columns[next(iter(self._columns))]
-        self._columns[key] = column
-        return column
-
-    def candidate_column(self, position) -> np.ndarray:
-        """Connectivity column a beacon at ``position`` would have, ``(P,)``."""
-        return self._column_for(self.field.next_beacon_id, as_point(position))
 
     # -- Deltas --------------------------------------------------------------
 
@@ -334,42 +187,24 @@ class FieldState:
         metrics = get_metrics()
         with get_tracer().span("incremental.delta", kind=delta.describe()):
             metrics.counter("sweep.delta_applied").inc()
-            conn = self.connectivity()
             if isinstance(delta, AddBeacon):
-                p = as_point(delta.position)
-                column = self._column_for(self.field.next_beacon_id, p)
-                new_field = self.field.with_beacon_at(p)
-                new_conn = np.column_stack([conn, column])
-            elif isinstance(delta, RemoveBeacon):
+                return super().with_beacon(delta.position)
+            conn = self.connectivity()
+            beacons = list(self.field.beacons)
+            if isinstance(delta, RemoveBeacon):
                 idx = self._index_of(delta.beacon_id)
-                beacons = list(self.field.beacons)
                 del beacons[idx]
-                new_field = BeaconField(
-                    beacons, next_id=self.field.next_beacon_id
-                )
                 new_conn = np.ascontiguousarray(np.delete(conn, idx, axis=1))
             elif isinstance(delta, MoveBeacon):
                 idx = self._index_of(delta.beacon_id)
                 p = as_point(delta.position)
-                column = self._column_for(delta.beacon_id, p)
-                beacons = list(self.field.beacons)
                 beacons[idx] = Beacon(int(delta.beacon_id), p)
-                new_field = BeaconField(
-                    beacons, next_id=self.field.next_beacon_id
-                )
                 new_conn = conn.copy()
-                new_conn[:, idx] = column
+                new_conn[:, idx] = self._column_for(delta.beacon_id, p)
             else:
                 raise TypeError(f"unknown delta {delta!r}")
-        return FieldState(
-            new_field,
-            self.realization,
-            self.grid,
-            self.layout,
-            self.localizer,
-            conn=new_conn,
-            column_cache=self._columns,
-        )
+            new_field = BeaconField(beacons, next_id=self.field.next_beacon_id)
+        return self._successor(new_field, new_conn)
 
     def apply_many(self, deltas) -> "FieldState":
         """Fold several deltas left to right."""
@@ -421,133 +256,12 @@ class FieldState:
             metrics.counter("incremental.columns.recomputed").inc(
                 len(columns) - reused
             )
-        return FieldState(
-            new_field,
-            self.realization,
-            self.grid,
-            self.layout,
-            self.localizer,
-            conn=new_conn,
-            column_cache=self._columns,
-        )
+        return self._successor(new_field, new_conn)
 
     def with_beacon(self, position) -> "FieldState":
-        """A new state with the beacon deployed (world-protocol spelling)."""
+        """:meth:`TrialWorld.with_beacon` as an :class:`AddBeacon` delta."""
         p = as_point(position)
         return self.apply(AddBeacon((float(p.x), float(p.y))))
-
-    # -- Counterfactuals -----------------------------------------------------
-
-    def peek_add_errors(self, position) -> np.ndarray:
-        """Per-point LE if a beacon were added at ``position`` (no mutation).
-
-        For the centroid localizer this is the O(P) peek — bit-identical to
-        :meth:`TrialWorld.errors_with_candidate` (same ``with_beacon``
-        arithmetic); it can differ from ``apply(AddBeacon(...)).errors()``
-        in the last ulp because the committed path re-derives the sums from
-        connectivity.  Non-subtractable localizers fall back to a full
-        re-estimate with the candidate column stacked on.
-        """
-        p = as_point(position)
-        column = self.candidate_column(p)
-        pts = self.points()
-        if isinstance(self.localizer, CentroidLocalizer):
-            state = self.centroid_state().with_beacon(column, p)
-            positions = np.vstack([self.field.positions(), [p.as_array()]])
-            estimates = state.estimates(
-                self.localizer.policy,
-                points=pts,
-                beacon_positions=positions,
-                terrain_side=self.localizer.terrain_side,
-            )
-            return localization_errors(estimates, pts)
-        get_metrics().counter("incremental.fallback.full").inc()
-        extended = self.field.with_beacon_at(p)
-        conn = np.column_stack([self.connectivity(), column])
-        estimates = self.localizer.estimate(conn, extended.positions(), pts)
-        return localization_errors(estimates, pts)
-
-    # World-protocol alias (TrialWorld spelling).
-    errors_with_candidate = peek_add_errors
-
-    def evaluate_candidate(self, position) -> tuple[float, float]:
-        """§4.1 improvement metrics for a candidate beacon at ``position``."""
-        base_mean, base_median = self.base_stats()
-        after = ErrorSurface(self.grid, self.peek_add_errors(position))
-        return base_mean - after.mean_error(), base_median - after.median_error()
-
-    def scan_add_candidates(self, positions, *, chunk: int = 256) -> np.ndarray:
-        """Mean LE after adding a beacon at each candidate, ``(K,)``.
-
-        One batched connectivity pass per ``chunk`` candidates (each column
-        is byte-identical to :meth:`candidate_column` — all candidates
-        evaluate under the id the added beacon would actually receive) plus
-        an O(P) peek per candidate.  This is the engine's survey-scan
-        primitive: one base field + K cheap deltas instead of K rebuilds.
-        """
-        candidates = as_point_array(positions)
-        means = np.empty(candidates.shape[0])
-        pts = self.points()
-        centroid = isinstance(self.localizer, CentroidLocalizer)
-        if centroid:
-            base = self.centroid_state()
-        else:
-            get_metrics().counter("incremental.fallback.full").inc(
-                candidates.shape[0]
-            )
-        candidate_id = self.field.next_beacon_id
-        metrics = get_metrics()
-        with get_tracer().span(
-            "incremental.scan", candidates=int(candidates.shape[0])
-        ):
-            from .kernels import candidate_columns
-
-            for start in range(0, candidates.shape[0], chunk):
-                block = candidates[start : start + chunk]
-                columns = candidate_columns(
-                    self.realization, pts, candidate_id, block
-                )
-                metrics.counter("incremental.scan.candidates").inc(
-                    block.shape[0]
-                )
-                for j, (x, y) in enumerate(block):
-                    p = Point(float(x), float(y))
-                    column = columns[:, j]
-                    if centroid:
-                        state = base.with_beacon(column, p)
-                        positions_after = np.vstack(
-                            [self.field.positions(), [p.as_array()]]
-                        )
-                        estimates = state.estimates(
-                            self.localizer.policy,
-                            points=pts,
-                            beacon_positions=positions_after,
-                            terrain_side=self.localizer.terrain_side,
-                        )
-                    else:
-                        extended = self.field.with_beacon_at(p)
-                        conn = np.column_stack([self.connectivity(), column])
-                        estimates = self.localizer.estimate(
-                            conn, extended.positions(), pts
-                        )
-                    errors = localization_errors(estimates, pts)
-                    means[start + j] = (
-                        float("nan")
-                        if np.all(np.isnan(errors))
-                        else float(np.nanmean(errors))
-                    )
-        return means
-
-
-def scan_candidates(world, positions) -> np.ndarray:
-    """Mean LE after adding a beacon at each candidate position, ``(K,)``.
-
-    Accepts either a :class:`FieldState` or any world implementing the
-    :class:`~repro.sim.TrialWorld` protocol (adopted via
-    :meth:`FieldState.from_world`).
-    """
-    state = world if isinstance(world, FieldState) else FieldState.from_world(world)
-    return state.scan_add_candidates(positions)
 
 
 # -- Fingerprint-keyed expected-LE cache --------------------------------------

@@ -32,6 +32,8 @@ planner registered, cells run it world by world.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from ..field import Beacon
@@ -44,7 +46,9 @@ from ..localization import (
 )
 from ..obs import get_metrics, get_tracer
 from ..radio.kernels import batch_params_from_realization, batched_connectivity
-from .trial import TrialWorld
+
+if TYPE_CHECKING:
+    from .trial import TrialWorld
 
 __all__ = [
     "warm_worlds",
@@ -72,7 +76,7 @@ def candidate_columns(realization, points, beacon_id, positions) -> np.ndarray:
     Batchable realizations run one ``(1, P, K)`` kernel pass; other model
     families take the scalar call, which produces the identical bytes.
     This is the survey-scan primitive behind
-    :meth:`repro.sim.incremental.FieldState.scan_add_candidates`.
+    :meth:`repro.sim.TrialWorld.scan_add_candidates`.
     """
     pos = np.asarray(positions, dtype=float)
     if pos.ndim != 2 or pos.shape[1] != 2:

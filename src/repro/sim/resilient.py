@@ -57,6 +57,7 @@ from ..obs import (
     get_live,
     get_metrics,
     get_tracer,
+    open_jsonl_append,
     read_jsonl,
 )
 from ..placement import PlacementAlgorithm
@@ -286,7 +287,7 @@ class SweepJournal:
         else:
             entry["error"] = error or "unknown"
         if self._handle is None:
-            self._handle = self.path.open("a")
+            self._handle = open_jsonl_append(self.path)
         self._handle.write(json.dumps(entry) + "\n")
         self._handle.flush()
         self._entries[k] = entry

@@ -2,20 +2,29 @@
 
 :class:`TrialWorld` bundles everything one simulated deployment consists of
 — the beacon field, the (static) propagation realization, the measurement
-lattice, the overlapping-grid layout and the localizer — and owns the two
-operations every experiment is built from:
+lattice, the overlapping-grid layout and the localizer — and owns the world
+protocol every experiment and placement algorithm is built from:
 
 * :meth:`TrialWorld.survey` — the complete, noise-free terrain survey of
-  §3.1 (the error surface over the lattice), and
+  §3.1 (the error surface over the lattice),
 * :meth:`TrialWorld.evaluate_candidate` — the counterfactual: what would the
   mean/median error become if a beacon were added at a given point?
+  :meth:`TrialWorld.scan_add_candidates` asks it of many candidates at once,
+  and
+* :meth:`TrialWorld.with_beacon` — the world with that beacon deployed.
 
 Candidate evaluation is the hot loop of every figure.  For the paper's
-centroid localizer it runs incrementally: the world caches the per-point
+centroid localizer it is an O(P) peek: the world caches the per-point
 connected-coordinate sums (:class:`~repro.localization.CentroidState`), so a
 candidate costs one ``(P,)`` connectivity column plus O(P) arithmetic — not
 a fresh ``(P × N)`` pass.  Non-centroid localizers fall back to a full
 re-estimate, trading speed for generality.
+
+A committed beacon is exact instead: :meth:`TrialWorld.with_beacon` splices
+the beacon's column onto the cached connectivity and re-derives the sums
+and errors from it, so the new world is byte-identical to a fresh one built
+on the extended field.  :class:`repro.sim.incremental.FieldState` is a
+world that also removes and moves beacons the same way.
 
 :func:`run_placement_trial` glues it together for a set of algorithms
 sharing one world, exactly like the paper evaluates Random/Max/Grid on the
@@ -35,6 +44,7 @@ from ..geometry import (
     OverlappingGridLayout,
     Point,
     as_point,
+    as_point_array,
 )
 from ..localization import (
     CentroidLocalizer,
@@ -46,8 +56,13 @@ from ..localization import (
 from ..obs import get_metrics, get_tracer
 from ..placement import PlacementAlgorithm
 from ..radio import PropagationRealization
+from .kernels import candidate_columns
 
 __all__ = ["TrialWorld", "TrialOutcome", "run_placement_trial"]
+
+#: Cap on a lineage's column cache (re-adds of intermittent beacons hit it;
+#: anything past this is a pathological churn pattern, evict oldest).
+_MAX_CACHED_COLUMNS = 4096
 
 
 @dataclass(frozen=True)
@@ -98,6 +113,9 @@ class TrialWorld:
         self._conn: np.ndarray | None = None
         self._state: CentroidState | None = None
         self._errors: np.ndarray | None = None
+        # Shared along a with_beacon/delta lineage: a column depends only on
+        # (beacon id, position), never on the rest of the field.
+        self._columns: dict = {}
 
     # -- Basic views --------------------------------------------------------
 
@@ -113,6 +131,7 @@ class TrialWorld:
     def connectivity(self) -> np.ndarray:
         """Cached ``(P_T, N)`` connectivity of the current field."""
         if self._conn is None:
+            get_metrics().counter("incremental.full_builds").inc()
             with get_tracer().span("world.connectivity"):
                 self._conn = self.realization.connectivity(self.points(), self.field)
         return self._conn
@@ -127,10 +146,12 @@ class TrialWorld:
         """Fill the evaluation caches with externally computed values.
 
         The batched kernels (:mod:`repro.sim.kernels`) evaluate many worlds
-        in one array pass and hand each world its slice here; afterwards
-        :meth:`connectivity`, :meth:`errors` and the candidate counterfactuals
-        are cache hits.  Callers own the bit-identity contract: the supplied
-        arrays must equal what the world would have computed itself.
+        in one array pass and hand each world its slice here; committed
+        beacons and deltas hand a successor world its spliced connectivity.
+        Afterwards :meth:`connectivity`, :meth:`errors` and the candidate
+        counterfactuals are cache hits.  Callers own the bit-identity
+        contract: the supplied arrays must equal what the world would have
+        computed itself.
         """
         if conn is not None:
             self._conn = conn
@@ -139,37 +160,60 @@ class TrialWorld:
         if errors is not None:
             self._errors = errors
 
+    def _successor(self, field: BeaconField, conn: np.ndarray):
+        """A world of this class on ``field`` whose connectivity is ``conn``.
+
+        It shares this world's column cache; its sums and errors re-derive
+        from ``conn`` through the arithmetic a fresh build runs.
+        """
+        world = type(self)(
+            field, self.realization, self.grid, self.layout, self.localizer
+        )
+        world._columns = self._columns
+        world.prewarm(conn=conn)
+        return world
+
     # -- Error evaluation ----------------------------------------------------
 
-    def _centroid_state(self) -> CentroidState:
+    def centroid_state(self) -> CentroidState:
+        """The per-point connected-sum/count arrays the centroid localizer
+        estimates from."""
         if self._state is None:
             self._state = CentroidState.from_connectivity(
                 self.connectivity(), self.field.positions()
             )
         return self._state
 
-    def _errors_for_state(self, state: CentroidState, positions: np.ndarray) -> np.ndarray:
+    def _localize(self, positions, *, state=None, conn=None) -> np.ndarray:
+        """Per-lattice-point LE of the beacons at ``positions``.
+
+        The centroid localizer estimates from ``state``, their per-point
+        sums.  Any other localizer has no such structure and re-estimates
+        from ``conn``, their ``(P, N)`` connectivity, counted as
+        ``incremental.fallback.full``.
+        """
+        pts = self.points()
         localizer = self.localizer
-        estimates = state.estimates(
-            localizer.policy,
-            points=self.points(),
-            beacon_positions=positions,
-            terrain_side=localizer.terrain_side,
-        )
-        return localization_errors(estimates, self.points())
+        if state is not None:
+            estimates = state.estimates(
+                localizer.policy,
+                points=pts,
+                beacon_positions=positions,
+                terrain_side=localizer.terrain_side,
+            )
+        else:
+            get_metrics().counter("incremental.fallback.full").inc()
+            estimates = localizer.estimate(conn, positions, pts)
+        return localization_errors(estimates, pts)
 
     def errors(self) -> np.ndarray:
         """Per-lattice-point localization error of the current field."""
         if self._errors is None:
+            positions = self.field.positions()
             if isinstance(self.localizer, CentroidLocalizer):
-                self._errors = self._errors_for_state(
-                    self._centroid_state(), self.field.positions()
-                )
+                self._errors = self._localize(positions, state=self.centroid_state())
             else:
-                estimates = self.localizer.estimate(
-                    self.connectivity(), self.field.positions(), self.points()
-                )
-                self._errors = localization_errors(estimates, self.points())
+                self._errors = self._localize(positions, conn=self.connectivity())
         return self._errors
 
     def error_surface(self) -> ErrorSurface:
@@ -187,6 +231,29 @@ class TrialWorld:
 
     # -- Counterfactuals -----------------------------------------------------
 
+    def _column_for(self, beacon_id: int, position: Point) -> np.ndarray:
+        """The ``(P_T,)`` connectivity column of one beacon, cached by identity.
+
+        Connectivity is elementwise over (point, beacon) pairs, so a column
+        computed alone is byte-identical to its slice of any full matrix
+        containing the beacon, and cached columns are safe to splice.
+        """
+        key = (int(beacon_id), float(position.x), float(position.y))
+        cached = self._columns.get(key)
+        metrics = get_metrics()
+        if cached is not None:
+            metrics.counter("incremental.column.hits").inc()
+            return cached
+        metrics.counter("incremental.column.misses").inc()
+        column = self.realization.connectivity(
+            self.points(), [Beacon(int(beacon_id), position)]
+        )[:, 0]
+        column.setflags(write=False)
+        if len(self._columns) >= _MAX_CACHED_COLUMNS:
+            del self._columns[next(iter(self._columns))]
+        self._columns[key] = column
+        return column
+
     def candidate_column(self, position) -> np.ndarray:
         """Connectivity column a beacon at ``position`` would have, ``(P_T,)``.
 
@@ -194,22 +261,28 @@ class TrialWorld:
         (``field.next_beacon_id``), so the chosen candidate's noise is
         identical when the beacon is really added.
         """
-        p = as_point(position)
-        candidate = Beacon(self.field.next_beacon_id, p)
-        return self.realization.connectivity(self.points(), [candidate])[:, 0]
+        return self._column_for(self.field.next_beacon_id, as_point(position))
+
+    def _peek(self, column: np.ndarray, p: Point) -> np.ndarray:
+        """Per-point LE with one more beacon at ``p`` whose connectivity
+        column is ``column``; this world is left as it is.
+
+        O(P) for the centroid localizer: the beacon's column is added to
+        the cached sums.  That can differ from a committed world's errors
+        in the last ulp, because a committed world re-derives its sums from
+        connectivity.
+        """
+        positions = np.vstack([self.field.positions(), [p.as_array()]])
+        if isinstance(self.localizer, CentroidLocalizer):
+            state = self.centroid_state().with_beacon(column, p)
+            return self._localize(positions, state=state)
+        conn = np.column_stack([self.connectivity(), column])
+        return self._localize(positions, conn=conn)
 
     def errors_with_candidate(self, position) -> np.ndarray:
         """Per-point LE if a beacon were added at ``position`` (no mutation)."""
         p = as_point(position)
-        column = self.candidate_column(p)
-        if isinstance(self.localizer, CentroidLocalizer):
-            state = self._centroid_state().with_beacon(column, p)
-            positions = np.vstack([self.field.positions(), [p.as_array()]])
-            return self._errors_for_state(state, positions)
-        extended = self.field.with_beacon_at(p)
-        conn = np.column_stack([self.connectivity(), column])
-        estimates = self.localizer.estimate(conn, extended.positions(), self.points())
-        return localization_errors(estimates, self.points())
+        return self._peek(self.candidate_column(p), p)
 
     def evaluate_candidate(self, position) -> tuple[float, float]:
         """§4.1 improvement metrics for a candidate beacon at ``position``.
@@ -222,22 +295,47 @@ class TrialWorld:
         after = ErrorSurface(self.grid, self.errors_with_candidate(position))
         return base_mean - after.mean_error(), base_median - after.median_error()
 
+    def scan_add_candidates(self, positions, *, chunk: int = 256) -> np.ndarray:
+        """Mean LE after adding a beacon at each candidate, ``(K,)``.
+
+        One batched connectivity pass per ``chunk`` candidates (each column
+        equals :meth:`candidate_column`'s: every candidate probes under the
+        id the added beacon would receive) plus one O(P) peek per
+        candidate: one base field and K cheap counterfactuals instead of K
+        rebuilds.
+        """
+        candidates = as_point_array(positions)
+        means = np.empty(candidates.shape[0])
+        pts = self.points()
+        metrics = get_metrics()
+        with get_tracer().span(
+            "incremental.scan", candidates=int(candidates.shape[0])
+        ):
+            for start in range(0, candidates.shape[0], chunk):
+                block = candidates[start : start + chunk]
+                columns = candidate_columns(
+                    self.realization, pts, self.field.next_beacon_id, block
+                )
+                metrics.counter("incremental.scan.candidates").inc(block.shape[0])
+                for j, (x, y) in enumerate(block):
+                    errors = self._peek(columns[:, j], Point(float(x), float(y)))
+                    means[start + j] = (
+                        float("nan")
+                        if np.all(np.isnan(errors))
+                        else float(np.nanmean(errors))
+                    )
+        return means
+
     def with_beacon(self, position) -> "TrialWorld":
-        """A new world with the beacon actually deployed (caches reused)."""
+        """A new world with a beacon deployed at ``position``.
+
+        Its connectivity is this world's with the beacon's column spliced
+        on, and its sums and errors re-derive from that matrix, so it is
+        byte-identical to a fresh world built on the extended field.
+        """
         p = as_point(position)
-        column = self.candidate_column(p)
-        new_world = TrialWorld(
-            self.field.with_beacon_at(p),
-            self.realization,
-            self.grid,
-            self.layout,
-            self.localizer,
-        )
-        if self._conn is not None:
-            new_world._conn = np.column_stack([self._conn, column])
-        if self._state is not None and isinstance(self.localizer, CentroidLocalizer):
-            new_world._state = self._state.with_beacon(column, p)
-        return new_world
+        conn = np.column_stack([self.connectivity(), self.candidate_column(p)])
+        return self._successor(self.field.with_beacon_at(p), conn)
 
 
 def run_placement_trial(

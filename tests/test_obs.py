@@ -322,6 +322,25 @@ class TestTracer:
         _, records = read_trace(path)
         assert [r["name"] for r in records] == ["a"]
 
+    def test_tracing_after_torn_tail_keeps_new_records(self, tmp_path):
+        """A tracer reopening a killed run's file drops the partial last
+        line instead of gluing its first record onto it."""
+        path = tmp_path / "trace.jsonl"
+        tracer = enable_tracing(path)
+        for name in ("a", "b"):
+            with tracer.span(name):
+                pass
+        disable_tracing()
+        text = path.read_text()
+        path.write_text(text[:-10])
+        tracer = enable_tracing(path)
+        for name in ("c", "d"):
+            with tracer.span(name):
+                pass
+        disable_tracing()
+        _, records = read_trace(path)
+        assert [r["name"] for r in records] == ["a", "c", "d"]
+
     def test_non_trace_file_rejected(self, tmp_path):
         path = tmp_path / "not_a_trace.jsonl"
         path.write_text('{"kind": "cell", "key": [0]}\n')

@@ -71,8 +71,8 @@ class TestGreedyKPlacement:
         state = FieldState.from_world(small_world)
         greedy_pick = GreedyKPlacement().propose(survey, rng, state)
         max_pick = MaxPlacement().propose(survey, rng)
-        greedy_mean = float(np.nanmean(state.peek_add_errors(greedy_pick)))
-        max_mean = float(np.nanmean(state.peek_add_errors(max_pick)))
+        greedy_mean = float(np.nanmean(state.errors_with_candidate(greedy_pick)))
+        max_mean = float(np.nanmean(state.errors_with_candidate(max_pick)))
         assert greedy_mean <= max_mean
 
     def test_deterministic_across_rng(self, small_state):
@@ -134,8 +134,8 @@ class TestRefinedMaxPlacement:
         state = FieldState.from_world(small_world)
         classic = MaxPlacement().propose(survey, rng)
         refined = MaxPlacement(refine_k=8).propose(survey, rng, small_world)
-        classic_mean = float(np.nanmean(state.peek_add_errors(classic)))
-        refined_mean = float(np.nanmean(state.peek_add_errors(refined)))
+        classic_mean = float(np.nanmean(state.errors_with_candidate(classic)))
+        refined_mean = float(np.nanmean(state.errors_with_candidate(refined)))
         assert refined_mean <= classic_mean
 
 
@@ -169,8 +169,8 @@ class TestRefinedGridPlacement:
         refined = GridPlacement(small_layout, refine_k=6).propose(
             survey, rng, small_world
         )
-        classic_mean = float(np.nanmean(state.peek_add_errors(classic)))
-        refined_mean = float(np.nanmean(state.peek_add_errors(refined)))
+        classic_mean = float(np.nanmean(state.errors_with_candidate(classic)))
+        refined_mean = float(np.nanmean(state.errors_with_candidate(refined)))
         assert refined_mean <= classic_mean
 
 

@@ -32,9 +32,8 @@ from repro.sim.incremental import (
     default_field_cache,
     expected_le_field,
     field_fingerprint,
-    scan_candidates,
 )
-from repro.sim.kernels import candidate_columns
+from repro.sim.kernels import candidate_columns, warm_worlds
 
 SIDE = 30.0
 RANGE = 10.0
@@ -181,6 +180,72 @@ class TestBitIdentityContract:
             state.apply(RemoveBeacon(999))
 
 
+# The committed-world contract is checked at the tests' toy geometry and at
+# the paper's (side 100 m, R 15 m, 1 m step), where the lattice is 10,201
+# points and last-ulp differences in the centroid sums have room to show.
+CONTRACT_GEOMETRIES = [
+    dict(),
+    dict(side=100.0, radio_range=15.0, step=1.0, num_grids=400, beacon_counts=(20, 60)),
+]
+
+
+class TestWithBeaconContract:
+    @pytest.mark.parametrize("noise", [0.0, 0.3])
+    @pytest.mark.parametrize("policy", list(UnlocalizedPolicy))
+    def test_with_beacon_matches_fresh_world(self, noise, policy):
+        """A beacon committed on a surveyed world, through either class,
+        gives the connectivity and errors of a fresh world on the extended
+        field, to the byte."""
+        rng = np.random.default_rng(2001)
+        for geometry in CONTRACT_GEOMETRIES:
+            config = tiny_config(**geometry)
+            localizer = CentroidLocalizer(config.side, policy)
+            for count in config.beacon_counts:
+                for index in range(3):
+                    world = build_world(config, noise, count, index, localizer=localizer)
+                    world.errors()
+                    state = FieldState.from_world(world)
+                    for x, y in rng.uniform(0.0, config.side, size=(3, 2)):
+                        fresh = TrialWorld(
+                            world.field.with_beacon_at((x, y)),
+                            world.realization,
+                            world.grid,
+                            world.layout,
+                            localizer,
+                        )
+                        for committed in (
+                            world.with_beacon((x, y)),
+                            state.with_beacon((x, y)),
+                        ):
+                            assert committed.field.beacon_ids == fresh.field.beacon_ids
+                            assert_bits_equal(
+                                committed.connectivity(), fresh.connectivity()
+                            )
+                            assert_bits_equal(committed.errors(), fresh.errors())
+
+    @pytest.mark.parametrize("noise", [0.0, 0.3])
+    def test_prewarmed_world_scans_like_engine_state(self, noise):
+        """A world warmed by the batched kernels scans as the engine does,
+        adopted or built from scratch."""
+        config = tiny_config()
+        worlds = [
+            build_world(config, noise, count, index)
+            for count in config.beacon_counts
+            for index in range(2)
+        ]
+        assert warm_worlds(worlds) == len(worlds)
+        for world in worlds:
+            candidates = world.points()[::3]
+            means = world.scan_add_candidates(candidates)
+            assert_bits_equal(
+                means, FieldState.from_world(world).scan_add_candidates(candidates)
+            )
+            cold = FieldState.build(
+                world.field, world.realization, world.grid, localizer=world.localizer
+            )
+            assert_bits_equal(means, cold.scan_add_candidates(candidates))
+
+
 class TestPeekAndScan:
     @pytest.mark.parametrize("noise", [0.0, 0.3])
     def test_peek_matches_world_candidate_path(self, noise):
@@ -188,7 +253,7 @@ class TestPeekAndScan:
         state = FieldState.from_world(world)
         for p in [(2.5, 2.5), (15.0, 15.0), (27.5, 7.5)]:
             assert_bits_equal(
-                state.peek_add_errors(p), world.errors_with_candidate(p)
+                state.errors_with_candidate(p), world.errors_with_candidate(p)
             )
 
     @pytest.mark.parametrize("noise", [0.0, 0.3])
@@ -198,7 +263,7 @@ class TestPeekAndScan:
         candidates = state.points()[::5]
         means = state.scan_add_candidates(candidates, chunk=7)
         peek = np.array(
-            [float(np.nanmean(state.peek_add_errors(p))) for p in candidates]
+            [float(np.nanmean(state.errors_with_candidate(p))) for p in candidates]
         )
         assert_bits_equal(means, peek)
 
@@ -217,11 +282,11 @@ class TestPeekAndScan:
             world.realization.connectivity(points, probes),
         )
 
-    def test_scan_candidates_accepts_trialworld(self):
+    def test_scan_add_candidates_accepts_trialworld(self):
         world = build_world(tiny_config(), 0.0, 6, 0)
         candidates = world.points()[::6]
-        via_world = scan_candidates(world, candidates)
-        via_state = scan_candidates(FieldState.from_world(world), candidates)
+        via_world = world.scan_add_candidates(candidates)
+        via_state = FieldState.from_world(world).scan_add_candidates(candidates)
         assert_bits_equal(via_world, via_state)
 
 
@@ -247,7 +312,7 @@ class TestNonSubtractableFallback:
         candidates = state.points()[::9]
         means = state.scan_add_candidates(candidates)
         peek = np.array(
-            [float(np.nanmean(state.peek_add_errors(p))) for p in candidates]
+            [float(np.nanmean(state.errors_with_candidate(p))) for p in candidates]
         )
         assert_bits_equal(means, peek)
         assert (

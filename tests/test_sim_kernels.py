@@ -131,8 +131,8 @@ class TestWarmWorldsBitIdentity:
             assert np.array_equal(batched.connectivity(), scalar.connectivity())
             assert_bits_equal(batched.errors(), scalar.errors())
             assert_bits_equal(
-                batched._centroid_state().coord_sums,
-                scalar._centroid_state().coord_sums,
+                batched.centroid_state().coord_sums,
+                scalar.centroid_state().coord_sums,
             )
             surface_b, surface_s = batched.error_surface(), scalar.error_surface()
             assert_bits_equal(surface_b.mean_error(), surface_s.mean_error())

@@ -70,6 +70,22 @@ class TestJournal:
         assert reloaded.entry((0,))["value"] == 1.0
         assert reloaded.entry((1,)) is None
 
+    def test_resume_after_torn_tail_keeps_new_records(self, tmp_path):
+        """Cells recorded after resuming a killed run must not be glued onto
+        its partial last line, where the loader stops."""
+        path = tmp_path / "sweep.jsonl"
+        with SweepJournal.open(path, "abc123") as journal:
+            journal.record((0,), ok=True, value=1.0, attempts=1)
+            journal.record((1,), ok=True, value=2.0, attempts=1)
+        text = path.read_text()
+        path.write_text(text[: len(text) - 10])
+        with SweepJournal.open(path, "abc123") as journal:
+            journal.record((1,), ok=True, value=2.0, attempts=1)
+            journal.record((2,), ok=True, value=3.0, attempts=1)
+        reloaded = SweepJournal.open(path, "abc123")
+        assert len(reloaded) == 3
+        assert [reloaded.entry((i,))["value"] for i in range(3)] == [1.0, 2.0, 3.0]
+
     def test_headerless_file_rejected(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
         path.write_text('{"kind": "cell", "key": [0], "ok": true}\n')
