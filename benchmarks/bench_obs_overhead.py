@@ -35,11 +35,17 @@ from repro.sim import ExperimentConfig, mean_error_curve, resilient_mean_error_c
 # numbers stay honest.
 OVERHEAD_BUDGET = 0.03
 TIMER_NOISE_FLOOR = 0.04
-REPEATS = 5
+#: Interleaved (off, on) pairs per test: enough that the median and the
+#: interquartile range of the per-pair ratios settle on a noisy host.
+REPEATS = 11
 
 
 def _bench_sweep_config() -> ExperimentConfig:
-    """A sweep big enough to time (~seconds) but far below paper fidelity."""
+    """A sweep big enough to time (~seconds) but far below paper fidelity.
+
+    Its cells take a few milliseconds each, so 100 fields per density
+    (300 cells) keep each timed half of a pair at half a second or more.
+    """
     return ExperimentConfig(
         side=150.0,
         radio_range=12.0,
@@ -47,7 +53,7 @@ def _bench_sweep_config() -> ExperimentConfig:
         num_grids=100,
         beacon_counts=(30, 60, 120),
         noise_levels=(0.0, 0.3),
-        fields_per_density=5,
+        fields_per_density=100,
         seed=99,
     )
 

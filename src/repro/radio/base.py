@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from ..field import Beacon, BeaconField
-from ..geometry import as_point_array, pairwise_distances
+from ..geometry import MeasurementGrid, as_point_array, pairwise_distances
 
 __all__ = ["PropagationModel", "PropagationRealization", "beacon_rows"]
 
@@ -69,7 +69,14 @@ class PropagationRealization(ABC):
         """
 
     def connectivity(self, points, beacons) -> np.ndarray:
-        """Boolean connectivity matrix ``(P, N)`` (see class docstring)."""
+        """Boolean connectivity matrix ``(P, N)`` (see class docstring).
+
+        ``points`` is a ``(P, 2)`` array or a
+        :class:`~repro.geometry.MeasurementGrid`, evaluated at its lattice
+        points.
+        """
+        if isinstance(points, MeasurementGrid):
+            points = points.points()
         _, positions = beacon_rows(beacons)
         pts = as_point_array(points)
         if positions.shape[0] == 0:

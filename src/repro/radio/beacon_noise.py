@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..geometry import as_point_array
+from ..geometry import MeasurementGrid, as_point_array
 from .base import PropagationModel, PropagationRealization, beacon_rows
 from .hashrand import hash_symmetric, hash_uniform, quantize_coords
 
@@ -94,6 +94,29 @@ class BeaconNoiseRealization(PropagationRealization):
         return hash_symmetric(
             self._seed, ids[None, :], _U_TAG, qx[:, None], qy[:, None]
         )
+
+    def connectivity(self, points, beacons) -> np.ndarray:
+        """Boolean connectivity ``(P, N)``.
+
+        A :class:`~repro.geometry.MeasurementGrid` as ``points`` runs the
+        windowed lattice kernel
+        (:func:`repro.radio.kernels.windowed_connectivity`), which compares
+        only the pairs within each beacon's reach; a point array takes the
+        dense §4.2.1 path.  Both give the same bytes on the lattice.
+        """
+        if not isinstance(points, MeasurementGrid):
+            return super().connectivity(points, beacons)
+        # Deferred: ``radio.kernels`` imports this module.
+        from .kernels import batch_params_from_realization, windowed_connectivity
+
+        ids, positions = beacon_rows(beacons)
+        return windowed_connectivity(
+            batch_params_from_realization(self),
+            np.asarray([self._seed]),
+            ids[None, :],
+            positions[None, :, :],
+            points,
+        )[0]
 
     def effective_ranges(self, points, beacons) -> np.ndarray:
         nf = self.noise_factors(beacons)

@@ -20,36 +20,68 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["mix64", "hash_uniform", "hash_symmetric", "hash_normal", "quantize_coords"]
+__all__ = [
+    "mix64",
+    "splitmix_fold",
+    "hash_uniform",
+    "hash_symmetric",
+    "hash_normal",
+    "uniform_from_bits",
+    "symmetric_from_bits",
+    "quantize",
+    "quantize_coords",
+]
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_INITIAL_STATE = np.uint64(0x243F6A8885A308D3)  # pi digits; arbitrary non-zero
 _TWO64 = float(2**64)
+
+
+def splitmix_fold(state, key):
+    """Fold one ``uint64`` key into a running hash state (one SplitMix64 round).
+
+    ``mix64(k1, …, kn, k)`` equals ``splitmix_fold(mix64(k1, …, kn), k)``, so
+    a caller hashing many keys that share a prefix folds the prefix once and
+    continues each key from it.  ``state`` and ``key`` broadcast.
+    """
+    with np.errstate(over="ignore"):
+        z = (state + _GAMMA) ^ np.asarray(key, dtype=np.uint64)
+        z ^= z >> np.uint64(30)
+        z *= _MIX1
+        z ^= z >> np.uint64(27)
+        z *= _MIX2
+        z ^= z >> np.uint64(31)
+    return z
 
 
 def mix64(*keys) -> np.ndarray:
     """Hash one or more ``uint64`` keys (scalars or broadcastable arrays).
 
     Applies the SplitMix64 finalizer after folding each key into a running
-    state, so every input bit influences every output bit.
+    state (:func:`splitmix_fold`), so every input bit influences every
+    output bit.
 
     Returns:
         ``uint64`` array of the broadcast shape of the inputs.
     """
     if not keys:
         raise ValueError("mix64 requires at least one key")
-    with np.errstate(over="ignore"):
-        state = np.uint64(0x243F6A8885A308D3)  # pi digits; arbitrary non-zero
-        state = np.broadcast_to(state, np.broadcast_shapes(*(np.shape(k) for k in keys))).copy()
-        for key in keys:
-            k = np.asarray(key, dtype=np.uint64)
-            state = state + _GAMMA
-            z = state ^ k
-            z = (z ^ (z >> np.uint64(30))) * _MIX1
-            z = (z ^ (z >> np.uint64(27))) * _MIX2
-            state = z ^ (z >> np.uint64(31))
+    state = _INITIAL_STATE
+    for key in keys:
+        state = splitmix_fold(state, key)
     return state
+
+
+def uniform_from_bits(bits) -> np.ndarray:
+    """Map :func:`mix64` output to uniforms in ``[0, 1)``."""
+    return bits.astype(np.float64) / _TWO64
+
+
+def symmetric_from_bits(bits) -> np.ndarray:
+    """Map :func:`mix64` output to uniforms in ``[-1, 1)``."""
+    return 2.0 * uniform_from_bits(bits) - 1.0
 
 
 def hash_uniform(*keys) -> np.ndarray:
@@ -58,13 +90,12 @@ def hash_uniform(*keys) -> np.ndarray:
     The same keys always yield the same value; distinct keys yield
     independent-looking values.
     """
-    bits = mix64(*keys)
-    return bits.astype(np.float64) / _TWO64
+    return uniform_from_bits(mix64(*keys))
 
 
 def hash_symmetric(*keys) -> np.ndarray:
     """Deterministic uniforms in ``[-1, 1)`` — the paper's ``u`` variate."""
-    return 2.0 * hash_uniform(*keys) - 1.0
+    return symmetric_from_bits(mix64(*keys))
 
 
 def hash_normal(*keys) -> np.ndarray:
@@ -88,12 +119,19 @@ def hash_normal(*keys) -> np.ndarray:
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 
-def quantize_coords(points: np.ndarray, resolution: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
-    """Quantize ``(P, 2)`` coordinates to integer keys.
+def quantize(values, resolution: float = 1e-6) -> np.ndarray:
+    """Quantize coordinates to integer keys, elementwise (int64-as-uint64).
 
     Two queries within ``resolution`` meters of each other see the same
     noise — this is what makes the noise a *field over locations* rather
     than a property of query objects.
+    """
+    q = np.round(np.asarray(values, dtype=float) / resolution).astype(np.int64)
+    return q.view(np.uint64)
+
+
+def quantize_coords(points: np.ndarray, resolution: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
+    """Quantize ``(P, 2)`` coordinates to integer keys (see :func:`quantize`).
 
     Returns:
         ``(qx, qy)`` int64-as-uint64 arrays of shape ``(P,)``.
@@ -101,5 +139,5 @@ def quantize_coords(points: np.ndarray, resolution: float = 1e-6) -> tuple[np.nd
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"expected (P, 2) points, got shape {pts.shape}")
-    q = np.round(pts / resolution).astype(np.int64)
-    return q[:, 0].view(np.uint64), q[:, 1].view(np.uint64)
+    q = quantize(pts, resolution)
+    return q[:, 0], q[:, 1]

@@ -8,9 +8,9 @@ a *chunk* of cells at once:
 1. build every cell's :class:`~repro.sim.TrialWorld` the normal way (cheap —
    field generation and a realization seed; no heavy arrays yet),
 2. group the worlds by (lattice, model family, beacon count, localizer),
-3. run one ``(T × P × N)`` pass per group through the batched connectivity
-   kernel (:mod:`repro.radio.kernels`) and the centroid estimate/error
-   arithmetic, blocked over trials to bound memory,
+3. run one ``(T × P × N)`` pass per group through the windowed
+   connectivity kernel (:mod:`repro.radio.kernels`) and the centroid
+   estimate/error arithmetic, blocked over trials to bound memory,
 4. **pre-warm** each world's caches with its slice of the batch, so the
    ordinary per-cell code (``error_surface()``, ``run_placement_trial``)
    finds everything computed and never touches the scalar hot path.
@@ -45,7 +45,7 @@ from ..localization import (
     apply_unlocalized_policy,
 )
 from ..obs import get_metrics, get_tracer
-from ..radio.kernels import batch_params_from_realization, batched_connectivity
+from ..radio.kernels import batch_params_from_realization, windowed_connectivity
 
 if TYPE_CHECKING:
     from .trial import TrialWorld
@@ -64,18 +64,18 @@ __all__ = [
 DEFAULT_BLOCK_ELEMENTS = 4_000_000
 
 
-def candidate_columns(realization, points, beacon_id, positions) -> np.ndarray:
+def candidate_columns(realization, grid, beacon_id, positions) -> np.ndarray:
     """``(P, K)`` connectivity columns of ``K`` candidate beacons, one pass.
 
     Every candidate probes under the SAME id ``beacon_id`` — the id the
     next added beacon would actually receive — so column ``k`` is
-    byte-identical to ``realization.connectivity(points, [Beacon(beacon_id,
+    byte-identical to ``realization.connectivity(grid, [Beacon(beacon_id,
     p_k)])[:, 0]``.  Duplicate ids are legal in a probe sequence: only the
     ``(seed, id)`` hash enters the per-link noise, never id uniqueness.
 
-    Batchable realizations run one ``(1, P, K)`` kernel pass; other model
-    families take the scalar call, which produces the identical bytes.
-    This is the survey-scan primitive behind
+    Batchable realizations run one windowed kernel pass over the lattice
+    of ``grid``; other model families take the scalar call, which produces
+    the identical bytes.  This is the survey-scan primitive behind
     :meth:`repro.sim.TrialWorld.scan_add_candidates`.
     """
     pos = np.asarray(positions, dtype=float)
@@ -86,11 +86,10 @@ def candidate_columns(realization, points, beacon_id, positions) -> np.ndarray:
         probes = [
             Beacon(int(beacon_id), Point(float(x), float(y))) for x, y in pos
         ]
-        return realization.connectivity(points, probes)
+        return realization.connectivity(grid, probes)
     seeds = np.array([realization.seed], dtype=np.uint64)
     ids = np.full((1, pos.shape[0]), int(beacon_id), dtype=np.uint64)
-    stacked = batched_connectivity(params, seeds, ids, pos[None, :, :], points)
-    return np.ascontiguousarray(stacked[0])
+    return windowed_connectivity(params, seeds, ids, pos[None, :, :], grid)[0]
 
 
 def _world_group_key(world: TrialWorld, params) -> tuple:
@@ -166,7 +165,9 @@ def _warm_block(worlds, params, pts, policy, terrain_side) -> None:
     positions = np.asarray([w.field.positions() for w in worlds], dtype=float).reshape(
         len(worlds), -1, 2
     )
-    conn3 = batched_connectivity(params, seeds, ids, positions, pts)  # (T, P, N)
+    conn3 = windowed_connectivity(
+        params, seeds, ids, positions, worlds[0].grid
+    )  # (T, P, N)
     counts3 = conn3.sum(axis=2)  # exact integers; per-row order-independent
     # The stacked mat-mul runs the same (P, N) @ (N, 2) product per trial
     # slice that ``CentroidState.from_connectivity`` would (same operand

@@ -133,7 +133,7 @@ class TrialWorld:
         if self._conn is None:
             get_metrics().counter("incremental.full_builds").inc()
             with get_tracer().span("world.connectivity"):
-                self._conn = self.realization.connectivity(self.points(), self.field)
+                self._conn = self.realization.connectivity(self.grid, self.field)
         return self._conn
 
     def prewarm(
@@ -246,7 +246,7 @@ class TrialWorld:
             return cached
         metrics.counter("incremental.column.misses").inc()
         column = self.realization.connectivity(
-            self.points(), [Beacon(int(beacon_id), position)]
+            self.grid, [Beacon(int(beacon_id), position)]
         )[:, 0]
         column.setflags(write=False)
         if len(self._columns) >= _MAX_CACHED_COLUMNS:
@@ -298,7 +298,7 @@ class TrialWorld:
     def scan_add_candidates(self, positions, *, chunk: int = 256) -> np.ndarray:
         """Mean LE after adding a beacon at each candidate, ``(K,)``.
 
-        One batched connectivity pass per ``chunk`` candidates (each column
+        One windowed connectivity pass per ``chunk`` candidates (each column
         equals :meth:`candidate_column`'s: every candidate probes under the
         id the added beacon would receive) plus one O(P) peek per
         candidate: one base field and K cheap counterfactuals instead of K
@@ -306,7 +306,6 @@ class TrialWorld:
         """
         candidates = as_point_array(positions)
         means = np.empty(candidates.shape[0])
-        pts = self.points()
         metrics = get_metrics()
         with get_tracer().span(
             "incremental.scan", candidates=int(candidates.shape[0])
@@ -314,7 +313,7 @@ class TrialWorld:
             for start in range(0, candidates.shape[0], chunk):
                 block = candidates[start : start + chunk]
                 columns = candidate_columns(
-                    self.realization, pts, self.field.next_beacon_id, block
+                    self.realization, self.grid, self.field.next_beacon_id, block
                 )
                 metrics.counter("incremental.scan.candidates").inc(block.shape[0])
                 for j, (x, y) in enumerate(block):

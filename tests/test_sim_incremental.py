@@ -278,7 +278,7 @@ class TestPeekAndScan:
         next_id = world.field.next_beacon_id
         probes = [Beacon(next_id, Point(float(x), float(y))) for x, y in candidates]
         assert_bits_equal(
-            candidate_columns(world.realization, points, next_id, candidates),
+            candidate_columns(world.realization, world.grid, next_id, candidates),
             world.realization.connectivity(points, probes),
         )
 

@@ -5,8 +5,10 @@ invariant of :mod:`repro.sim.kernels` — these tests enforce it down to the
 byte across localizer policies, noise levels, empty fields, fault-degraded
 worlds and all-NaN cells, plus the numerical facts the kernels rely on
 (stacked mat-muls and row-wise nan-reductions matching their per-slice
-forms).  The shared-memory world state (:mod:`repro.sim.executors.shm`) is
-covered for bit-identical cache pre-seeding and segment lifecycle.
+forms).  Both paths run the windowed connectivity kernel, whose own
+oracle is the dense path (``tests/test_radio_kernels.py``).  The
+shared-memory world state (:mod:`repro.sim.executors.shm`) is covered for
+bit-identical cache pre-seeding and segment lifecycle.
 """
 
 from __future__ import annotations
@@ -218,8 +220,9 @@ class TestWarmWorldsMemory:
     def test_batched_peak_no_higher_than_scalar_at_paper_geometry(self):
         """One 240-beacon noisy world at side 100 m, step 1 m: the batched
         pass peaks no higher than the scalar evaluation.  Only its stacked
-        seed/id/position inputs (a few KiB) are extra; the (T, P, N, 2)
-        distance temporary must be gone before the range pass allocates."""
+        seed/id/position inputs (a few KiB) are extra; both run the same
+        windowed connectivity kernel, and both peak at the centroid
+        mat-mul's (P, N) float64 operand."""
         config = ExperimentConfig(seed=7, fields_per_density=1)
         batched, scalar = build_world_pair(config, 0.1, 240, 0)
         batched.points(), scalar.points()  # the shared lattice, built once
