@@ -44,6 +44,21 @@ class UnlocalizedPolicy(Enum):
     EXCLUDE = "exclude"
     ZERO_ERROR = "zero_error"
 
+    @property
+    def pointwise(self) -> bool:
+        """Whether an unheard point's estimate depends on that point alone.
+
+        True for ``TERRAIN_CENTER``, ``EXCLUDE`` and ``ZERO_ERROR``.  Under
+        these an added beacon changes a centroid estimate only at the points
+        that hear it.  ``NEAREST_BEACON`` is not pointwise: a new beacon can
+        become the nearest one of unheard points anywhere on the terrain.
+        """
+        return self in (
+            UnlocalizedPolicy.TERRAIN_CENTER,
+            UnlocalizedPolicy.EXCLUDE,
+            UnlocalizedPolicy.ZERO_ERROR,
+        )
+
 
 def apply_unlocalized_policy(
     estimates: np.ndarray,

@@ -10,7 +10,9 @@ is the performance-critical companion: it keeps, per client point, the
 *running sum* of connected beacon coordinates and the *count* of connected
 beacons, so that evaluating a candidate additional beacon (the inner loop of
 every placement experiment — thousands of times per figure) costs O(P)
-instead of O(P·N).
+instead of O(P·N).  :meth:`CentroidState.with_beacon` is that O(P) step and
+the reference for :class:`repro.sim.TrialWorld`'s candidate peek, which
+repeats its arithmetic only on the points that hear the candidate.
 
 The state supports deltas in **both directions**: :meth:`CentroidState.with_beacon`
 adds a beacon and :meth:`CentroidState.remove_beacon` subtracts one — the

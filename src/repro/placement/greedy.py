@@ -11,7 +11,8 @@ enter because a full localization rebuild per candidate is unaffordable.
 candidate scan (:meth:`repro.sim.TrialWorld.scan_add_candidates`): each
 round scans *every* lattice point (or a configured candidate set) for the
 position that minimizes the resulting mean LE — one base field plus K cheap
-peeks instead of K rebuilds — commits the argmin with ``with_beacon`` (an
+peeks instead of K rebuilds, each recomputing LE only at the lattice points
+the candidate reaches — commits the argmin with ``with_beacon`` (an
 :class:`~repro.sim.AddBeacon` delta on a :class:`~repro.sim.FieldState`),
 and repeats.  Bench E16 compares it against Random/Max/Grid at an equal
 measurement budget.

@@ -35,9 +35,11 @@ supported localizer, noise model and fault mask.  Two empirical facts
 * BLAS reductions are **not** row-subset invariant on this toolchain
   (``(W @ pos)[rows] != W[rows] @ pos`` in the last ulp for some rows), so
   a committed world re-runs the cheap full-shape reduction on its spliced
-  connectivity instead of patching rows of a cached result.  Only the O(P)
-  candidate peek adds a column to cached sums, so it may differ from the
-  committed world in the last ulp.
+  connectivity instead of patching rows of a cached result.  Only the
+  candidate peek adds a column to cached sums (and, under a pointwise
+  policy, recomputes just the points the candidate reaches, with the O(P)
+  chain's elementwise arithmetic), so it may differ from the committed
+  world in the last ulp.
 
 Non-centroid localizers have no incremental sum structure; their
 connectivity is still maintained incrementally but the error field falls

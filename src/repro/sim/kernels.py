@@ -74,8 +74,12 @@ def candidate_columns(realization, grid, beacon_id, positions) -> np.ndarray:
     ``(seed, id)`` hash enters the per-link noise, never id uniqueness.
 
     Batchable realizations run one windowed kernel pass over the lattice
-    of ``grid``; other model families take the scalar call, which produces
-    the identical bytes.  This is the survey-scan primitive behind
+    of ``grid``, as ``K`` one-beacon worlds of the same seed (the same id,
+    reach and per-pair arithmetic, so the same bits), and return the
+    transpose of that C-contiguous ``(K, P)`` stack: each candidate's
+    column is contiguous, which is how the scan reads it.  Other model
+    families take the scalar call, which produces the identical bytes.
+    This is the survey-scan primitive behind
     :meth:`repro.sim.TrialWorld.scan_add_candidates`.
     """
     pos = np.asarray(positions, dtype=float)
@@ -87,9 +91,9 @@ def candidate_columns(realization, grid, beacon_id, positions) -> np.ndarray:
             Beacon(int(beacon_id), Point(float(x), float(y))) for x, y in pos
         ]
         return realization.connectivity(grid, probes)
-    seeds = np.array([realization.seed], dtype=np.uint64)
-    ids = np.full((1, pos.shape[0]), int(beacon_id), dtype=np.uint64)
-    return windowed_connectivity(params, seeds, ids, pos[None, :, :], grid)[0]
+    seeds = np.full(pos.shape[0], realization.seed, dtype=np.uint64)
+    ids = np.full((pos.shape[0], 1), int(beacon_id), dtype=np.uint64)
+    return windowed_connectivity(params, seeds, ids, pos[:, None, :], grid)[:, :, 0].T
 
 
 def _world_group_key(world: TrialWorld, params) -> tuple:

@@ -14,11 +14,18 @@ protocol every experiment and placement algorithm is built from:
 * :meth:`TrialWorld.with_beacon` — the world with that beacon deployed.
 
 Candidate evaluation is the hot loop of every figure.  For the paper's
-centroid localizer it is an O(P) peek: the world caches the per-point
-connected-coordinate sums (:class:`~repro.localization.CentroidState`), so a
-candidate costs one ``(P,)`` connectivity column plus O(P) arithmetic — not
-a fresh ``(P × N)`` pass.  Non-centroid localizers fall back to a full
-re-estimate, trading speed for generality.
+centroid localizer the world caches the per-point connected-coordinate sums
+(:class:`~repro.localization.CentroidState`), and a candidate beacon changes
+the sums and counts only at the lattice points that hear it — about 855 of
+10,201 at paper geometry.  Under a pointwise unlocalized policy (see
+:attr:`~repro.localization.UnlocalizedPolicy.pointwise`) the peek therefore
+recomputes the estimate and LE on those points alone and keeps the world's
+errors everywhere else: one connectivity column plus work proportional to
+its connected points, with the O(P) chain's elementwise arithmetic, so the
+same bytes.  ``NEAREST_BEACON`` takes that O(P) chain
+(:meth:`CentroidState.with_beacon <repro.localization.CentroidState.with_beacon>`
+→ estimates → LE), because a new beacon can be the nearest one of unheard
+points anywhere; non-centroid localizers fall back to a full re-estimate.
 
 A committed beacon is exact instead: :meth:`TrialWorld.with_beacon` splices
 the beacon's column onto the cached connectivity and re-derives the sums
@@ -63,6 +70,10 @@ __all__ = ["TrialWorld", "TrialOutcome", "run_placement_trial"]
 #: Cap on a lineage's column cache (re-adds of intermittent beacons hit it;
 #: anything past this is a pathological churn pattern, evict oldest).
 _MAX_CACHED_COLUMNS = 4096
+
+#: Candidates a scan peeks at once: the rows of its LE stack (32 × 10,201
+#: float64, 2.6 MB, at paper geometry).
+_SCAN_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -113,6 +124,7 @@ class TrialWorld:
         self._conn: np.ndarray | None = None
         self._state: CentroidState | None = None
         self._errors: np.ndarray | None = None
+        self._base_stats: tuple[float, float] | None = None  # of _errors
         # Shared along a with_beacon/delta lineage: a column depends only on
         # (beacon id, position), never on the rest of the field.
         self._columns: dict = {}
@@ -159,6 +171,7 @@ class TrialWorld:
             self._state = state
         if errors is not None:
             self._errors = errors
+            self._base_stats = None
 
     def _successor(self, field: BeaconField, conn: np.ndarray):
         """A world of this class on ``field`` whose connectivity is ``conn``.
@@ -225,9 +238,11 @@ class TrialWorld:
         return Survey.from_error_surface(self.error_surface())
 
     def base_stats(self) -> tuple[float, float]:
-        """(mean, median) LE of the current field."""
-        surface = self.error_surface()
-        return surface.mean_error(), surface.median_error()
+        """(mean, median) LE of the current field, reduced once."""
+        if self._base_stats is None:
+            surface = self.error_surface()
+            self._base_stats = (surface.mean_error(), surface.median_error())
+        return self._base_stats
 
     # -- Counterfactuals -----------------------------------------------------
 
@@ -263,26 +278,57 @@ class TrialWorld:
         """
         return self._column_for(self.field.next_beacon_id, as_point(position))
 
-    def _peek(self, column: np.ndarray, p: Point) -> np.ndarray:
-        """Per-point LE with one more beacon at ``p`` whose connectivity
-        column is ``column``; this world is left as it is.
+    def _peek_rows(self, columns, candidates, out) -> None:
+        """Per-point LE with one more beacon, one candidate per row of
+        ``out``; this world is left as it is.
 
-        O(P) for the centroid localizer: the beacon's column is added to
-        the cached sums.  That can differ from a committed world's errors
+        Row ``j`` of ``out`` becomes the LE with a beacon at
+        ``candidates[j]`` whose connectivity is ``columns[j]`` (``(k, P)``
+        bool, ``(k, 2)`` coordinates, ``(k, P)`` float).  Under the centroid
+        localizer with a pointwise policy each row is this world's errors
+        with the candidate's connected points recomputed: there the sums
+        gain the candidate's position (the O(P) path adds ``1.0·p``, the
+        same value) and the counts gain one, so every point is heard and
+        no policy applies.  Elsewhere each row is the O(P) chain.
+        """
+        localizer = self.localizer
+        if isinstance(localizer, CentroidLocalizer) and localizer.policy.pointwise:
+            out[:] = self.errors()
+            # flatnonzero and take: 2-D nonzero and fancy row indexing
+            # cost several times more here.
+            heard = np.flatnonzero(columns)
+            row, idx = np.divmod(heard, columns.shape[1])
+            state = self.centroid_state()
+            est = np.take(state.coord_sums, idx, axis=0)
+            est += np.take(candidates, row, axis=0)
+            est /= (state.counts[idx] + 1).astype(float)[:, None]
+            diff = est - np.take(self.points(), idx, axis=0)
+            out.put(heard, np.sqrt(np.einsum("pk,pk->p", diff, diff)))
+            return
+        field_positions = self.field.positions()
+        for errors, column, p in zip(out, columns, candidates):
+            positions = np.vstack([field_positions, p])
+            if isinstance(localizer, CentroidLocalizer):
+                state = self.centroid_state().with_beacon(column, p)
+                errors[:] = self._localize(positions, state=state)
+            else:
+                conn = np.column_stack([self.connectivity(), column])
+                errors[:] = self._localize(positions, conn=conn)
+
+    def errors_with_candidate(self, position) -> np.ndarray:
+        """Per-point LE if a beacon were added at ``position`` (no mutation).
+
+        The candidate's column comes from :meth:`candidate_column`, and the
+        peek recomputes only the points it reaches where that is exact (see
+        the module docstring).  It adds the column to the cached sums, so
+        it can differ from the committed :meth:`with_beacon` world's errors
         in the last ulp, because a committed world re-derives its sums from
         connectivity.
         """
-        positions = np.vstack([self.field.positions(), [p.as_array()]])
-        if isinstance(self.localizer, CentroidLocalizer):
-            state = self.centroid_state().with_beacon(column, p)
-            return self._localize(positions, state=state)
-        conn = np.column_stack([self.connectivity(), column])
-        return self._localize(positions, conn=conn)
-
-    def errors_with_candidate(self, position) -> np.ndarray:
-        """Per-point LE if a beacon were added at ``position`` (no mutation)."""
         p = as_point(position)
-        return self._peek(self.candidate_column(p), p)
+        out = np.empty((1, self.points().shape[0]))
+        self._peek_rows(self.candidate_column(p)[None, :], p.as_array()[None, :], out)
+        return out[0]
 
     def evaluate_candidate(self, position) -> tuple[float, float]:
         """§4.1 improvement metrics for a candidate beacon at ``position``.
@@ -300,12 +346,15 @@ class TrialWorld:
 
         One windowed connectivity pass per ``chunk`` candidates (each column
         equals :meth:`candidate_column`'s: every candidate probes under the
-        id the added beacon would receive) plus one O(P) peek per
-        candidate: one base field and K cheap counterfactuals instead of K
-        rebuilds.
+        id the added beacon would receive), then one peek per candidate,
+        :data:`_SCAN_ROWS` LE rows at a time: one base field and K cheap
+        counterfactuals instead of K rebuilds.  Each mean is
+        ``float(np.nanmean(errors))`` of that candidate's
+        :meth:`errors_with_candidate`, NaN where every point is excluded.
         """
         candidates = as_point_array(positions)
         means = np.empty(candidates.shape[0])
+        rows = np.empty((min(_SCAN_ROWS, candidates.shape[0]), self.points().shape[0]))
         metrics = get_metrics()
         with get_tracer().span(
             "incremental.scan", candidates=int(candidates.shape[0])
@@ -314,15 +363,13 @@ class TrialWorld:
                 block = candidates[start : start + chunk]
                 columns = candidate_columns(
                     self.realization, self.grid, self.field.next_beacon_id, block
-                )
+                ).T
                 metrics.counter("incremental.scan.candidates").inc(block.shape[0])
-                for j, (x, y) in enumerate(block):
-                    errors = self._peek(columns[:, j], Point(float(x), float(y)))
-                    means[start + j] = (
-                        float("nan")
-                        if np.all(np.isnan(errors))
-                        else float(np.nanmean(errors))
-                    )
+                for first in range(0, block.shape[0], _SCAN_ROWS):
+                    last = min(first + _SCAN_ROWS, block.shape[0])
+                    stack = rows[: last - first]
+                    self._peek_rows(columns[first:last], block[first:last], stack)
+                    means[start + first : start + last] = _row_means(stack)
         return means
 
     def with_beacon(self, position) -> "TrialWorld":
@@ -335,6 +382,23 @@ class TrialWorld:
         p = as_point(position)
         conn = np.column_stack([self.connectivity(), self.candidate_column(p)])
         return self._successor(self.field.with_beacon_at(p), conn)
+
+
+def _row_means(rows: np.ndarray) -> np.ndarray:
+    """``float(np.nanmean(row))`` of each row of a C-contiguous stack, NaN
+    (and no warning) for an all-NaN row.
+
+    A row without NaN reduces through ``np.mean``: NumPy sums a contiguous
+    row with the 1-D call's pairwise summation, and ``nanmean`` of a
+    NaN-free row is that sum over the row length, so the bytes are equal
+    without ``nanmean``'s masked copy.  A row holding an excluded (NaN)
+    point takes the 1-D ``nanmean`` itself.
+    """
+    means = np.mean(rows, axis=1)
+    for j in np.flatnonzero(np.isnan(means)):
+        if not np.isnan(rows[j]).all():
+            means[j] = np.nanmean(rows[j])
+    return means
 
 
 def run_placement_trial(

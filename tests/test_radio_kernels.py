@@ -204,7 +204,7 @@ class TestShapes:
         )
         probes = [Beacon(57, Point(float(x), float(y))) for x, y in candidates]
         columns = candidate_columns(realization, grid, 57, candidates)
-        assert columns.flags.c_contiguous
+        assert columns.T.flags.c_contiguous
         assert_bits_equal(columns, realization.connectivity(grid.points(), probes))
 
     @pytest.mark.parametrize("granularity", GRANULARITIES)
