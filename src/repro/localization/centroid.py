@@ -60,7 +60,9 @@ class CentroidState:
                 f"{pos.shape[0]} beacon positions"
             )
         weights = conn.astype(float)
-        return cls(coord_sums=weights @ pos, counts=conn.sum(axis=1))
+        # An int32 accumulator counts bools faster than the default int64.
+        counts = conn.sum(axis=1, dtype=np.int32).astype(np.int64)
+        return cls(coord_sums=weights @ pos, counts=counts)
 
     def copy(self) -> "CentroidState":
         """An independent copy (for trying several candidates from one base)."""

@@ -15,10 +15,11 @@ points at once"* and wins at low densities.  The price is O(N_G·P_G) work.
 
 Ties break to the lowest grid index (row-major over centers).
 
-For complete lattice surveys the cumulative errors are a cached-mask matvec
-(see :class:`~repro.geometry.OverlappingGridLayout`); for partial surveys
-membership is computed directly from the surveyed points, so the same
-algorithm runs on lawnmower or random-walk explorations.
+For complete lattice surveys the cumulative errors are a mat-vec with the
+cached boolean masks, cast to float64 a block of rows at a time (see
+:meth:`~repro.geometry.OverlappingGridLayout.cumulative_values`); for
+partial surveys membership is computed directly from the surveyed points,
+so the same algorithm runs on lawnmower or random-walk explorations.
 """
 
 from __future__ import annotations

@@ -79,7 +79,7 @@ class BeaconNoiseRealization(PropagationRealization):
         return self._noise * hash_uniform(self._seed, ids, _NF_TAG)
 
     def pair_u(self, points, beacons) -> np.ndarray:
-        """The variate ``u ∈ [-1, 1)``, broadcast to ``(P, N)``.
+        """The variate ``u ∈ [-1, 1]`` (both ends occur), broadcast to ``(P, N)``.
 
         With ``u_granularity="pair"`` each (point, beacon) link draws its
         own u; with ``"beacon"`` each beacon draws one u shared by every

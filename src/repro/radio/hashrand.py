@@ -75,17 +75,25 @@ def mix64(*keys) -> np.ndarray:
 
 
 def uniform_from_bits(bits) -> np.ndarray:
-    """Map :func:`mix64` output to uniforms in ``[0, 1)``."""
+    """Map :func:`mix64` output to uniforms in the closed ``[0, 1]``.
+
+    The float64 conversion rounds bits ≥ 2⁶⁴ − 1024 to 2⁶⁴, so those map to
+    exactly 1.0; bits 0 map to 0.0.
+    """
     return bits.astype(np.float64) / _TWO64
 
 
 def symmetric_from_bits(bits) -> np.ndarray:
-    """Map :func:`mix64` output to uniforms in ``[-1, 1)``."""
+    """Map :func:`mix64` output to uniforms in the closed ``[-1, 1]``.
+
+    ``2·uniform − 1``: bits 0 and 1 give exactly −1.0, and bits ≥ 2⁶⁴ − 1024
+    give exactly 1.0 (see :func:`uniform_from_bits`).
+    """
     return 2.0 * uniform_from_bits(bits) - 1.0
 
 
 def hash_uniform(*keys) -> np.ndarray:
-    """Deterministic uniforms in ``[0, 1)`` from integer keys.
+    """Deterministic uniforms in ``[0, 1]`` from integer keys.
 
     The same keys always yield the same value; distinct keys yield
     independent-looking values.
@@ -94,7 +102,10 @@ def hash_uniform(*keys) -> np.ndarray:
 
 
 def hash_symmetric(*keys) -> np.ndarray:
-    """Deterministic uniforms in ``[-1, 1)`` — the paper's ``u`` variate."""
+    """Deterministic uniforms in ``[-1, 1]`` — the paper's ``u`` variate.
+
+    Both ends occur (see :func:`symmetric_from_bits`).
+    """
     return symmetric_from_bits(mix64(*keys))
 
 

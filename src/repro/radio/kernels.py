@@ -5,23 +5,28 @@ the CM_thresh pull, so B's links all lie within its *reach*, the range at
 ``u = 1``.  On a :class:`~repro.geometry.MeasurementGrid` that disc fits in
 a small block of lattice indices around B (at most 37 × 37 of the paper's
 101 × 101 lattice), and every pair outside the block is disconnected.
-:func:`windowed_connectivity` hashes, ranges and compares only the in-block
-pairs, for a stack of ``T`` worlds at once, and scatters them into the
-``(T, P, N)`` bool array the dense path returns.
+:func:`windowed_connectivity` decides only the in-block pairs, for a stack
+of ``T`` worlds at once, and scatters them into the ``(T, P, N)`` bool
+array the dense path returns.
 
-Each in-block pair runs the dense path's operations elementwise and in the
-same order — coordinate difference, two-term ``einsum`` distance, the
-SplitMix hash of ``(seed, id, tag, qx, qy)`` (the ``(seed, id, tag)``
-prefix folded once per beacon, see
+Each in-block pair gets the dense path's values: the distance is the dense
+two-term ``einsum``'s ``dx·dx + dy·dy``, computed separably (``dx`` per
+block row, ``dy`` per column), and a pair whose ``u`` can decide its link
+runs the SplitMix hash of ``(seed, id, tag, qx, qy)`` (the ``(seed, id,
+tag)`` prefix folded once per beacon and ``qx`` once per block row, see
 :func:`~repro.radio.hashrand.splitmix_fold`) and ``effective_ranges``'
-formula — so slice ``out[t]`` equals ``realization.connectivity(
-grid.points(), field_t)`` to the byte (``tests/test_radio_kernels.py``).
+formula in their order — so slice ``out[t]`` equals
+``realization.connectivity(grid.points(), field_t)`` to the byte
+(``tests/test_radio_kernels.py``).
 
-The window holds the lattice indices within ``⌈reach / step⌉ + 1`` of the
-beacon's nearest lattice index.  The range formula is monotone in ``u`` and
-rounding keeps it so, hence the reach bounds every range the beacon draws;
-a lattice point outside the window lies at least ``reach + 1.5·step`` away
-along one axis, far beyond any rounding of its distance (DESIGN.md §10).
+The range formula is monotone in ``u`` and rounding keeps it so, and ``u``
+lies in ``[−1, 1]``.  Hence the reach bounds every range a beacon draws: the
+window holds the lattice indices within ``⌈reach / step⌉ + 1`` of the
+beacon's nearest lattice index, and a point outside it lies at least
+``reach + 1.5·step`` away along one axis, far beyond any rounding of its
+distance.  And with per-pair ``u`` only the ring between the ``u = −1``
+and ``u = +1`` ranges is hashed: nearer pairs link and farther ones do
+not, whatever their hash (DESIGN.md §10).
 """
 
 from __future__ import annotations
@@ -108,6 +113,41 @@ def _window_starts(coords, step: float, half: int, last: int) -> np.ndarray:
     return np.clip(nearest - half, 0, last).astype(np.intp)
 
 
+def _ring_links(params, prefix, nf, pull, dist, q, ix, iy) -> np.ndarray:
+    """Per-pair-``u`` links of each beacon's ``(W, W)`` block, ``(B, W, W)``.
+
+    ``u`` lies in ``[−1, 1]`` after rounding and the range formula is
+    monotone in ``u``, so a pair within the ``u = −1`` range links and a
+    pair beyond the ``u = +1`` range does not, whatever its hash.  Only the
+    ring between the two runs the second hash fold, ``u`` and the range,
+    each pair with its beacon's ``nf`` and pull gathered — the dense path's
+    operations in its order, pair by pair.
+    """
+    hit = dist <= _ranges(params, -1.0, nf, pull)
+    ring = np.flatnonzero((dist <= _ranges(params, 1.0, nf, pull)) ^ hit)
+    # A pair's flat index is (b·W + row)·W + col; flat gathers from the
+    # (B, W) arrays take b·W + row and b·W + col.  Each index array goes
+    # as soon as its gather is done: at Noise 0.5 and CM_thresh 0.9 the ring
+    # holds ~45 % of the block's pairs, so these arrays set the peak memory.
+    width = ix.shape[1]
+    beacon_row = ring // width
+    beacon = beacon_row // width
+    keys = q[iy].reshape(-1)[ring - (beacon_row - beacon) * width]
+    # The (seed, id, tag, qx) fold, once per beacon and block row.
+    states = splitmix_fold(prefix[:, None], q[ix]).reshape(-1)[beacon_row]
+    del beacon_row
+    u = symmetric_from_bits(splitmix_fold(states, keys))
+    del states, keys
+    nf = nf.reshape(-1)[beacon]
+    if pull is not None:
+        pull = pull.reshape(-1)[beacon]
+    del beacon
+    ranges = _ranges(params, u, nf, pull)
+    del u, nf, pull
+    hit.reshape(-1)[ring] = dist.reshape(-1)[ring] <= ranges
+    return hit
+
+
 def windowed_connectivity(
     params: BatchNoiseParams,
     seeds: np.ndarray,
@@ -129,6 +169,9 @@ def windowed_connectivity(
     Returns:
         C-contiguous ``(T, P, N)`` bool; slice ``[t]`` is bit-identical to
         the dense ``realization.connectivity(grid.points(), field_t)``.
+        Noise 0 compares each block against R and ``u_granularity="beacon"``
+        against one range per beacon; per-pair ``u`` hashes only the ring
+        (:func:`_ring_links`).
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     ids = np.asarray(ids, dtype=np.uint64)
@@ -160,7 +203,8 @@ def windowed_connectivity(
         nf = pull = None
         reach = params.radio_range
     else:
-        nf = params.noise * hash_uniform(seeds[:, None], ids, _NF_TAG).reshape(-1, 1)
+        nf = params.noise * hash_uniform(seeds[:, None], ids, _NF_TAG)
+        nf = nf.reshape(-1, 1, 1)  # per flattened beacon, against its block
         pull = None
         if params.cm_thresh is not None:
             pull = (2.0 * params.cm_thresh - 1.0) * nf * params.radio_range
@@ -175,35 +219,30 @@ def windowed_connectivity(
     ix = start_x[:, None] + offsets  # (B, W) lattice x indices
     iy = start_y[:, None] + offsets  # (B, W) lattice y indices
 
-    # The dense path's point − beacon difference and two-term distance, on
-    # each beacon's W × W block of lattice points.
+    # The dense path's two-term distance on each beacon's W × W block,
+    # separably: dx depends only on the block row and dy only on the
+    # column.  NumPy's two-term einsum is the plain dx·dx + dy·dy (no fused
+    # multiply-add), so squaring each axis first changes no bit; the
+    # dense-vs-windowed byte comparisons of tests/test_radio_kernels.py
+    # hold this.
     axis = grid.axis_coordinates()
-    diff = np.empty((count, width, width, 2))
-    diff[:, :, :, 0] = (axis[ix] - x[:, None])[:, :, None]
-    diff[:, :, :, 1] = (axis[iy] - y[:, None])[:, None, :]
-    diff = diff.reshape(count, width * width, 2)
-    dist = np.einsum("bqk,bqk->bq", diff, diff)
-    del diff
+    dx = axis[ix] - x[:, None]
+    dy = axis[iy] - y[:, None]
+    dx *= dx
+    dy *= dy
+    dist = dx[:, :, None] + dy[:, None, :]  # (B, W, W)
     np.sqrt(dist, out=dist)
 
     if nf is None:
-        ranges = params.radio_range
+        hit = dist <= params.radio_range
     else:
         prefix = mix64(np.repeat(seeds, n_beacons), ids.reshape(-1), _U_TAG)
         if params.u_granularity == "beacon":
-            u = symmetric_from_bits(prefix)[:, None]
+            u = symmetric_from_bits(prefix)[:, None, None]
+            hit = dist <= _ranges(params, u, nf, pull)
         else:
-            q = quantize(axis)
-            u = symmetric_from_bits(
-                splitmix_fold(
-                    splitmix_fold(prefix[:, None], q[ix])[:, :, None],
-                    q[iy][:, None, :],
-                )
-            ).reshape(count, -1)
-        ranges = _ranges(params, u, nf, pull)
-        del u
-    hit = dist <= ranges
-    del dist, ranges  # before the scatter allocates its (B, W²) index array
+            hit = _ring_links(params, prefix, nf, pull, dist, quantize(axis), ix, iy)
+    del dist  # before the scatter allocates its (B, W²) index array
 
     # Scatter: beacon b's block starts at one flat offset of ``out``, and
     # the block's cells sit at the same relative offsets for every beacon.
@@ -211,5 +250,5 @@ def windowed_connectivity(
     base = (beacon // n_beacons) * (out.shape[1] * n_beacons) + beacon % n_beacons
     base += (start_x * n_axis + start_y) * n_beacons
     cells = (offsets[:, None] * n_axis + offsets).reshape(-1) * n_beacons
-    out.reshape(-1)[np.add.outer(base, cells)] = hit
+    out.reshape(-1)[np.add.outer(base, cells)] = hit.reshape(count, -1)
     return out

@@ -172,7 +172,9 @@ def _warm_block(worlds, params, pts, policy, terrain_side) -> None:
     conn3 = windowed_connectivity(
         params, seeds, ids, positions, worlds[0].grid
     )  # (T, P, N)
-    counts3 = conn3.sum(axis=2)  # exact integers; per-row order-independent
+    # Exact integers, order-independent; an int32 accumulator sums bools
+    # faster than the default int64 one.
+    counts3 = conn3.sum(axis=2, dtype=np.int32).astype(np.int64)
     # The stacked mat-mul runs the same (P, N) @ (N, 2) product per trial
     # slice that ``CentroidState.from_connectivity`` would (same operand
     # values, dtypes and layout per slice ⇒ same bits — enforced by the

@@ -9,6 +9,8 @@ from repro.radio.hashrand import (
     hash_uniform,
     mix64,
     quantize_coords,
+    symmetric_from_bits,
+    uniform_from_bits,
 )
 
 
@@ -95,6 +97,24 @@ class TestHashUniform:
         a = hash_uniform(1, np.arange(1000, dtype=np.uint64))
         b = hash_uniform(2, np.arange(1000, dtype=np.uint64))
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.1
+
+
+class TestClosedRange:
+    """The float64 mapping reaches both ends: the windowed kernel's ring
+    rule relies on ``u ∈ [−1, 1]``, and every noisy link on the mapping
+    staying exactly as it is."""
+
+    BITS = np.array([0, 1, 2**64 - 1, 2**64 - 1024, 2**64 - 1025], dtype=np.uint64)
+
+    def test_uniform_extremes(self):
+        assert uniform_from_bits(self.BITS).tolist() == [
+            0.0, 2.0**-64, 1.0, 1.0, 1.0 - 2.0**-53,
+        ]
+
+    def test_symmetric_extremes(self):
+        assert symmetric_from_bits(self.BITS).tolist() == [
+            -1.0, -1.0, 1.0, 1.0, 0.9999999999999998,
+        ]
 
 
 class TestHashNormal:

@@ -25,9 +25,15 @@ from repro import CentroidLocalizer, ExperimentConfig
 from repro.faults import CrashFault, DriftFault, apply_faults
 from repro.field import Beacon, BeaconField
 from repro.geometry import MeasurementGrid, Point
+from repro.geometry.points import pairwise_distances
 from repro.radio import BeaconNoiseRealization
-from repro.radio.hashrand import mix64, splitmix_fold
-from repro.radio.kernels import batch_params_from_realization, windowed_connectivity
+from repro.radio.hashrand import mix64, splitmix_fold, symmetric_from_bits
+from repro.radio.kernels import (
+    BatchNoiseParams,
+    _ranges,
+    batch_params_from_realization,
+    windowed_connectivity,
+)
 from repro.sim import build_world, warm_worlds
 from repro.sim.kernels import candidate_columns
 
@@ -35,6 +41,8 @@ RANGE = 15.0
 NOISES = (0.0, 0.1, 0.3, 0.5)
 CM_THRESHOLDS = (None, 0.5, 0.9, 1.0)
 GRANULARITIES = ("pair", "beacon")
+#: Noise levels whose per-pair ``u`` the kernel hashes on the ring only.
+RING_NOISES = (0.1, 0.3, 0.5, 0.9)
 #: (side, step): the paper's lattice, two coarser steps, and the tests'
 #: 30 m / 5 m toy geometry.
 GEOMETRIES = ((100.0, 1.0), (100.0, 2.5), (100.0, 5.0), (30.0, 5.0))
@@ -256,6 +264,89 @@ class TestShapes:
                 world.connectivity(),
                 world.realization.connectivity(world.points(), world.field),
             )
+
+
+def ring_edges(params: BatchNoiseParams, nf):
+    """The ranges at ``u = −1`` and ``u = +1``, between which the kernel
+    hashes a pair's ``u``: nearer pairs link and farther ones do not."""
+    pull = None
+    if params.cm_thresh is not None:
+        pull = (2.0 * params.cm_thresh - 1.0) * nf * params.radio_range
+    return _ranges(params, -1.0, nf, pull), _ranges(params, 1.0, nf, pull)
+
+
+class TestRing:
+    """The kernel skips the hash of any pair outside the ring between the
+    ``u = −1`` and ``u = +1`` ranges; these hold that rule against the dense
+    path, which hashes every pair."""
+
+    @pytest.mark.parametrize("cm_thresh", CM_THRESHOLDS)
+    @pytest.mark.parametrize("noise", RING_NOISES)
+    def test_dense_links_obey_the_ring(self, noise, cm_thresh):
+        grid = MeasurementGrid(100.0, 1.0)
+        rng = np.random.default_rng(int(10 * noise) + int(10 * (cm_thresh or 0)))
+        realization = BeaconNoiseRealization(
+            RANGE, noise, int(rng.integers(0, 2**63)), "pair", cm_thresh
+        )
+        field = field_for(grid, rng, 12)
+        conn = realization.connectivity(grid.points(), field)
+        dist = pairwise_distances(grid.points(), field.positions())
+        inner, outer = ring_edges(
+            batch_params_from_realization(realization),
+            realization.noise_factors(field),
+        )
+        assert conn[dist <= inner].all()
+        assert not conn[dist > outer].any()
+        ring = (dist > inner) & (dist <= outer)
+        assert conn[ring].any() and not conn[ring].all()  # u decides the ring
+        assert_bits_equal(realization.connectivity(grid, field), conn)
+
+    @pytest.mark.parametrize("cm_thresh", CM_THRESHOLDS)
+    @pytest.mark.parametrize("noise", RING_NOISES)
+    def test_extreme_bits_bound_the_range(self, noise, cm_thresh):
+        """Bits 0 and 1 give u = −1 and bits ≥ 2⁶⁴ − 1024 give u = +1, so
+        their ranges are the ring's edges, and every other draw's range
+        lies between them; the ranges are ``effective_ranges``' formula."""
+        rng = np.random.default_rng(int(10 * noise))
+        extremes = [0, 1, 2**64 - 1024, 2**64 - 1]
+        bits = np.concatenate(
+            [
+                np.array(extremes, dtype=np.uint64),
+                rng.integers(0, 2**64, 200, dtype=np.uint64),
+            ]
+        )
+        u = symmetric_from_bits(bits)[:, None]
+        assert u[:4, 0].tolist() == [-1.0, -1.0, 1.0, 1.0]
+        params = BatchNoiseParams(RANGE, noise, cm_thresh, "pair")
+        nf = noise * np.concatenate([[0.0, 1.0], rng.random(30)])
+        inner, outer = ring_edges(params, nf)
+        pull = None if cm_thresh is None else (2.0 * cm_thresh - 1.0) * nf * RANGE
+        ranges = _ranges(params, u, nf, pull)
+        expected = RANGE * (1.0 + u * nf)
+        if pull is not None:
+            expected = expected - pull
+        assert_bits_equal(ranges, expected)
+        assert_bits_equal(ranges[:2], np.stack([inner, inner]))
+        assert_bits_equal(ranges[2:4], np.stack([outer, outer]))
+        assert ((inner <= ranges) & (ranges <= outer)).all()
+
+    @pytest.mark.parametrize("count", [0, 1, 40])
+    @pytest.mark.parametrize("cm_thresh", CM_THRESHOLDS)
+    @pytest.mark.parametrize("noise", RING_NOISES)
+    def test_candidate_stacks(self, noise, cm_thresh, count):
+        """K one-beacon worlds under one id, K = 0 included, at corners,
+        edges and off the terrain."""
+        grid = MeasurementGrid(100.0, 1.0)
+        rng = np.random.default_rng(count)
+        realization = BeaconNoiseRealization(RANGE, noise, 77, cm_thresh=cm_thresh)
+        spots = np.vstack(
+            [awkward_positions(grid.side, grid.step), rng.uniform(-20, 120, (40, 2))]
+        )
+        candidates = spots[rng.permutation(len(spots))[:count]]
+        probes = [Beacon(5, Point(float(x), float(y))) for x, y in candidates]
+        columns = candidate_columns(realization, grid, 5, candidates)
+        assert columns.shape == (grid.num_points, count)
+        assert_bits_equal(columns, realization.connectivity(grid.points(), probes))
 
 
 class TestHashFold:
